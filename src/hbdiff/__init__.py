@@ -45,7 +45,6 @@ from .scalar import (
 )
 from .special import (
     MLParams,
-    Z_SWITCH,
     gamma,
     ml_one,
     ml_one_array,
@@ -93,7 +92,6 @@ __all__ = [
     "TensorForcing",
     "ValidationError",
     "VerificationReport",
-    "Z_SWITCH",
     "ZeroForcing",
     "ek_integral",
     "ek_integral_on_grid",

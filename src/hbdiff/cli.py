@@ -89,8 +89,9 @@ def _validate_expr(node: ast.AST, used: set) -> None:
     if isinstance(node, ast.Expression):
         _validate_expr(node.body, used)
     elif isinstance(node, ast.Constant):
-        if not isinstance(node.value, (int, float)):
+        if not isinstance(node.value, (int, float)) or abs(node.value) > sys.float_info.max:
             raise ValueError(f"unsupported constant {node.value!r}")
+        node.value = float(node.value)  # keeps 9**9**9 out of big-integer arithmetic
     elif isinstance(node, ast.Name):
         if node.id not in _ALLOWED_NAMES:
             raise ValueError(f"unknown name {node.id!r}; allowed: x, t, pi")
@@ -134,7 +135,10 @@ class Expression:
             env["x"] = x
         if t is not None:
             env["t"] = t
-        return eval(self._code, env)
+        try:
+            return eval(self._code, env)
+        except OverflowError as exc:
+            raise ValueError(f"expression {self.text!r} overflows: {exc}") from None
 
 
 def _load_samples(path: str) -> SampledFunction:

@@ -50,7 +50,8 @@ from .errors import IllPosedError, ValidationError
 from .operators import FracParams, SampledFunction, make_time_grid
 from .scalar import lambda_star
 from .special import ml_one, ml_one_array, sinpi_array
-from .spectral import BOUNDARY_TOL, SineSeries, SolutionField, sine_analyze, sine_synthesize
+from .spectral import (BOUNDARY_TOL, SineSeries, SolutionField, _resample_unit,
+                       sine_analyze, sine_synthesize)
 
 __all__ = [
     "InverseProblemSpec",
@@ -116,12 +117,6 @@ class InverseResult:
     transient: np.ndarray
     diagnostics: dict
     walls: tuple[float, float] = (0.0, 0.0)
-
-
-def _resample_unit(f: SampledFunction, xgrid: np.ndarray) -> SampledFunction:
-    if f.grid.size == xgrid.size and np.array_equal(f.grid, xgrid):
-        return f
-    return SampledFunction(xgrid, np.interp(xgrid, f.grid, f.values))
 
 
 def solve_inverse(spec: InverseProblemSpec) -> InverseResult:

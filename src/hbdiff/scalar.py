@@ -213,15 +213,13 @@ def solve_second_kind(
     t_nodes = tgrid if native else sig ** (1.0 / p.beta)
     fvals = np.interp(t_nodes, f.grid, f.values)
 
-    y = fvals.copy()
-    if lam != 0.0:
-        g = fvals if p.gamma_w == 0.0 else sig**p.gamma_w * fvals
-        K = ml_product_matrix(sig, p.delta, p.delta, lam)
-        conv = K @ g
-        if p.gamma_w == 0.0:
-            y = fvals + lam * conv
-        else:
-            y[1:] = fvals[1:] + lam * sig[1:] ** (-p.gamma_w) * conv[1:]
+    g = fvals if p.gamma_w == 0.0 else sig**p.gamma_w * fvals
+    conv = ml_product_matrix(sig, p.delta, p.delta, lam) @ g
+    if p.gamma_w == 0.0:
+        y = fvals + lam * conv
+    else:
+        y = fvals.copy()
+        y[1:] = fvals[1:] + lam * sig[1:] ** (-p.gamma_w) * conv[1:]
     if not native:
         y0 = y[0]
         y = np.interp(tgrid**p.beta, sig, y)

@@ -4,31 +4,33 @@ The two-parameter Mittag-Leffler function
 
     E_{a,b}(z) = sum_{k>=0} z^k / Gamma(a*k + b)
 
-is evaluated by one of three routes, picked per point:
+is evaluated by one numpy array function in double precision:
 
-* Taylor series in double precision with compensated accumulation, accepted
-  only when the largest term is small enough that cancellation cannot eat
-  the target accuracy;
-* the negative-axis algebraic expansion  E_{a,b}(z) ~ -sum_k z^{-k}/Gamma(b-a*k)
-  for z <= -Z_SWITCH, truncated at its smallest term, accepted only when the
-  first omitted term (plus, for a > 1, the exponentially small oscillatory
-  bound) meets the target;
-* the Taylor series in mpmath with working precision sized from the
-  cancellation exponent |z|^(1/a), used whenever the double routes cannot
-  certify their result.
+* closed forms: 1/Gamma(b) at z = 0, exp(z) and expm1(z)/z for a = 1 and
+  b = 1, 2, and ``inf`` for z > 0 where exp(z^(1/a))/a exceeds double range;
+* the compensated Taylor sum on the disc |z| <= max(1, b^a), accepted only
+  where its largest term is small enough that cancellation cannot eat the
+  target accuracy;
+* elsewhere the inverse Laplace transform of s^(a-b)/(s^a - z) at t = 1 by
+  the trapezoidal rule on Garrappa's optimal parabola (SIAM J. Numer. Anal.
+  53 (2015) 1350-1369), plus the residues s^(1-b) e^s / a of the poles
+  s^a = z to its right.  The pole-free points (a <= 1, z < 0) of one call
+  share one contour; points with poles (z > 0 or a > 1) get their own.
 
-Alternating series for negative z lose roughly |z|^(1/a) * log10(e) digits
-to cancellation, which is why a fixed-precision evaluator cannot cover the
-whole band between the Taylor and asymptotic regimes.
+The contour's error is absolute while E_{a,b} shrinks like 1/Gamma(b), so
+for b > 10 it runs at b - m*a <= 10 and the index-shift recurrence
+E_{a,c+a}(z) = (E_{a,c}(z) - 1/Gamma(c)) / z climbs back; the recurrence
+amplifies errors only where |z| is small next to b^a, inside the disc.
+
+Accuracy contract: relative error 1e-10 or better for |z| <= 50, absolute
+error at most 1e-12 for z < -50.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
-import mpmath as mp
 import numpy as np
 
 __all__ = [
@@ -40,30 +42,26 @@ __all__ = [
     "ml_two_array",
     "sinpi",
     "sinpi_array",
-    "Z_SWITCH",
 ]
 
-# Nominal boundary between the series and asymptotic regimes on the negative
-# axis; past it the algebraic expansion is expected to carry the evaluation.
-Z_SWITCH = 12.0
+# Largest admissible relative-error estimate for the Taylor sum, and the
+# number of terms after which a sum counts as not converged.
+_TAYLOR_ACCEPT = 1.0e-11
+_TAYLOR_TERMS = 1200
 
-# The asymptotic route is *attempted* already from here on; its own error
-# estimate rejects it wherever it is not good enough.  Attempting early
-# matters for small alpha, where the Taylor cancellation exponent |z|^(1/a)
-# explodes long before z reaches -Z_SWITCH.
-_ASYM_TRY = -1.5
+# z^(1/a) >= exp(6.5682) ~ 712.8 puts exp(z^(1/a))/a past double range.
+_OVERFLOW_LOG = 6.5682
 
-# Largest admissible relative-error estimate for the double-precision series.
-_DOUBLE_ACCEPT = 1.0e-12
-# Same for the truncated asymptotic expansion.
-_ASYM_ACCEPT = 1.0e-13
+# Largest beta handed to the contour; see the module docstring.
+_BETA_CONTOUR = 10.0
 
-# Working-precision ceiling for the arbitrary-precision fallback.  The
-# dispatcher's routing keeps required precision far below this; hitting the
-# ceiling means an argument regime the evaluator does not support.
-_MAX_DPS = 2500
+# Target accuracy of the contour and the double rounding unit, as logs.
+_LOG_TOL = math.log(1.0e-15)
+_LOG_EPS = math.log(2.0**-52)
 
-_LOG_PI = math.log(math.pi)
+# Complex elements per block of a contour sum, so temporaries stay bounded.
+_BLOCK = 1 << 16
+
 _SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 
 # Lanczos approximation, g = 607/128, 15 coefficients (Godfrey's set).
@@ -126,6 +124,8 @@ def sinpi_array(x) -> np.ndarray:
 def _lanczos(x: float) -> float:
     # x >= 0.5 only; the (t^(z+1/2) e^-t) factor is computed as a squared
     # half power so arguments near the overflow edge keep full accuracy
+    if x >= 172.0:
+        return math.inf  # Gamma(172) = 171! is past double range
     z = x - 1.0
     ser = _LANCZOS_COEF[0]
     for i in range(1, len(_LANCZOS_COEF)):
@@ -180,217 +180,207 @@ class MLParams:
             raise ValueError(f"MLParams: beta_star must be positive, got {self.beta_star:g}")
 
 
-def _ml_series_double(alpha: float, beta: float, z: float):
-    """Compensated double-precision Taylor sum.
+def _taylor(alpha: float, beta: float, z: np.ndarray):
+    """Compensated Taylor sums of E_{alpha,beta} at nonzero ``z``.
 
     Returns ``(value, est)`` where ``est`` bounds the relative error lost to
-    cancellation (tracked via the largest term).  ``est = inf`` signals the
-    route is unusable for this argument.
+    cancellation (tracked via the largest term); ``est = inf`` marks a sum
+    that did not converge.  Each point stops at its third consecutive
+    negligible term, so its value does not depend on the other points.
     """
-    if z == 0.0:
-        return 1.0 / gamma(beta), 0.0
-    logz = math.log(abs(z))
-    neg = z < 0.0
-    s = 0.0
-    comp = 0.0
-    sum_abs = 0.0
-    lmax = 0.0
-    small = 0
-    sign = 1.0
-    converged = False
-    for k in range(0, 1200):
+    val = np.full(z.shape, np.nan)
+    est = np.full(z.shape, np.inf)
+    idx = np.arange(z.size)
+    logz = np.log(np.abs(z))
+    sign = np.where(z < 0.0, -1.0, 1.0)
+    s, comp, sum_abs, lmax, small = np.zeros((5, z.size))
+    for k in range(_TAYLOR_TERMS):
+        if not idx.size:
+            break
         lg = math.lgamma(alpha * k + beta)
         klz = k * logz
-        expo = klz - lg
-        if expo > 709.0:
-            if neg:
-                return math.nan, math.inf
-            return math.inf, 0.0  # the sum itself exceeds double range
-        t = sign * math.exp(expo)
+        at = np.exp(klz - lg)
+        t = at * sign if k % 2 else at
         tmp = s + t
-        if abs(s) >= abs(t):
-            comp += (s - tmp) + t
-        else:
-            comp += (t - tmp) + s
+        bt = tmp - s
+        comp += (s - (tmp - bt)) + (t - bt)  # exact rounding error of s + t
         s = tmp
-        at = abs(t)
         sum_abs += at
         # magnitude of the log-space arithmetic feeding exp(); its rounding,
         # eps*amp relative per term, dominates the achievable accuracy
-        amp = abs(klz) + abs(lg)
-        if amp > lmax:
-            lmax = amp
-        tot = abs(s + comp)
-        # termination: three consecutive negligible terms
-        if tot > 0.0 and at < 1.0e-16 * tot:
-            small += 1
-            if small >= 3:
-                converged = True
-                break
-        else:
-            small = 0
-        if neg:
-            sign = -sign
-    if not converged:
-        return math.nan, math.inf
-    val = s + comp
-    denom = max(abs(val), 5e-324)
-    est = 1.11e-16 * sum_abs * (2.0 + lmax) / denom
+        lmax = np.maximum(lmax, np.abs(klz) + abs(lg))
+        # termination: three consecutive negligible terms; zero terms on a
+        # zero sum count too, which is where 1/Gamma(b) underflows
+        small = (small + 1.0) * (at <= 1.0e-16 * np.abs(s + comp))
+        done = small >= 3.0
+        if np.count_nonzero(done):
+            v = s[done] + comp[done]
+            val[idx[done]] = v
+            est[idx[done]] = (
+                1.11e-16 * sum_abs[done] * (2.0 + lmax[done]) / np.maximum(np.abs(v), 5e-324)
+            )
+            keep = ~done
+            idx, logz, sign, s, comp, sum_abs, lmax, small = (
+                x[keep] for x in (idx, logz, sign, s, comp, sum_abs, lmax, small)
+            )
     return val, est
 
 
-def _rgamma_log(w: float):
-    """(sign, log magnitude) of 1/Gamma(w); sign 0.0 exactly at poles."""
-    if w >= 0.5:
-        return 1.0, -math.lgamma(w)
-    s = sinpi(w)
-    if s == 0.0:
-        return 0.0, -math.inf
-    return math.copysign(1.0, s), math.log(abs(s)) + math.lgamma(1.0 - w) - _LOG_PI
-
-
-def _ml_asymptotic(alpha: float, beta: float, z: float, nmax: int = 200):
-    """Negative-axis algebraic expansion truncated at its smallest term.
-
-    Returns ``(value, est_rel, est_abs)``.  Truncation is steered by the
-    smooth majorant x^-k * Gamma(1 - beta + alpha*k) / pi of the term
-    magnitudes: the reflection sine makes the terms themselves wiggle for
-    small alpha, so the raw magnitudes cannot detect the optimal stopping
-    point.  The absolute estimate is the majorant of the first omitted
-    term plus, for alpha >= 1, a bound on the exponentially damped
-    oscillatory contribution that the algebraic series misses.
-    """
-    x = -z  # z < 0
-    logx = math.log(x)
-    s = 0.0
-    comp = 0.0
-    prev_env = math.inf
-    est_abs = math.inf
-    for k in range(1, nmax + 1):
-        w = beta - alpha * k
-        if w >= 0.5:
-            env_log = -math.lgamma(w)
-        else:
-            env_log = math.lgamma(1.0 - w) - _LOG_PI
-        le = -k * logx + env_log
-        env = math.exp(le) if le < 700.0 else math.inf
-        if env > prev_env:
-            est_abs = env  # majorant past its minimum: stop
-            break
-        prev_env = env
-        sgn_g, logr = _rgamma_log(w)
-        if sgn_g != 0.0:  # gamma poles give exactly-zero terms
-            lt = -k * logx + logr
-            t = sgn_g * math.exp(lt)
-            if k % 2:
-                t = -t
-            tmp = s + t
-            if abs(s) >= abs(t):
-                comp += (s - tmp) + t
-            else:
-                comp += (t - tmp) + s
-            s = tmp
-        tot = abs(s + comp)
-        if tot > 0.0 and env < 1.0e-17 * tot:
-            est_abs = env
-            break
+def _region_left(phi: float, p: float, log_tol: float):
+    """Garrappa's parabola between the branch point at the origin, of
+    strength ``p``, and poles at phi = (Re s + |s|)/2.  Returns ``(mu, h, n)``."""
+    f_max = math.exp(log_tol - _LOG_EPS)
+    sq1 = min(math.sqrt(phi), 2.0 * math.sqrt(log_tol - _LOG_EPS))
+    f_min = 1.01 if p < 1.0e-14 else 1.5
+    f_bar = f_min + f_min / f_max * (f_max - f_min)
+    fq = 1.0 / f_bar
+    if p < 1.0e-14:
+        sqb0, sqb1 = 0.0, 2.0 * sq1 / (2.0 + fq)
     else:
-        est_abs = prev_env
-    val = -(s + comp)
-    if alpha >= 1.0:
-        # exponentially small oscillatory part, scale exp(m*cos(pi/alpha)) <= 1
-        m = x ** (1.0 / alpha)
-        est_abs += (2.0 / alpha) * math.exp(min(m * math.cos(math.pi / alpha), 0.0))
-    denom = max(abs(val), 5e-324)
-    return val, est_abs / denom, est_abs
+        fp = f_bar ** (-1.0 / p)
+        w = -phi / log_tol
+        den = 2.0 + w - (1.0 + w) * fp + fq
+        sqb0, sqb1 = fp * sq1 / den, (2.0 + w - (1.0 + w) * fp) * sq1 / den
+    log_tol -= math.log(f_bar)
+    w = -sqb1 * sqb1 / log_tol
+    mu = (((1.0 + w) * sqb0 + sqb1) / (2.0 + w)) ** 2
+    h = -2.0 * math.pi / log_tol * (sqb1 - sqb0) / ((1.0 + w) * sqb0 + sqb1)
+    return mu, h, math.ceil(math.sqrt(1.0 - log_tol / mu) / h)
 
 
-def _ml_series_mp(alpha: float, beta: float, z: float) -> float:
-    """Arbitrary-precision Taylor sum; precision sized from the cancellation
-    exponent |z|^(1/alpha) and re-tried if the post-hoc loss check fails."""
-    m = 0.0 if z >= -1.0 else (-z) ** (1.0 / alpha)
-    scale = 1.0
-    if alpha > 1.0:
-        # the result itself can be exponentially small (oscillatory regime)
-        scale = 1.0 + abs(math.cos(math.pi / alpha))
-    dps = 25 + int(0.4343 * m * scale)
-    val = math.nan
-    for _ in range(6):
-        if dps > _MAX_DPS:
-            raise RuntimeError(
-                f"Mittag-Leffler fallback would need {dps} digits "
-                f"(alpha={alpha:g}, z={z:g}); argument regime not supported"
-            )
-        with mp.workdps(dps):
-            a = mp.mpf(alpha)
-            b = mp.mpf(beta)
-            zm = mp.mpf(z)
-            s = mp.mpf(0)
-            zk = mp.mpf(1)
-            maxt = mp.mpf(0)
-            tiny = mp.mpf(10) ** (-(dps + 3))
-            small = 0
-            k = 0
-            while k < 2_000_000:
-                t = zk / mp.gamma(a * k + b)
-                s += t
-                if abs(t) > maxt:
-                    maxt = abs(t)
-                if s != 0 and abs(t) < abs(s) * tiny:
-                    small += 1
-                    if small >= 3:
-                        break
-                else:
-                    small = 0
-                zk *= zm
-                k += 1
-            val = float(s)
-            if s == 0:
-                lost = float(dps)
-            else:
-                ratio = maxt / abs(s)
-                lost = max(float(mp.log10(ratio)), 0.0)
-        if dps - lost >= 17.0:
-            return val
-        dps = int(lost) + 28
+def _region_unbounded(phi0: float, p: float, log_tol: float):
+    """Garrappa's parabola right of the singularity at phi0 of strength
+    ``p``.  Returns ``(mu, h, n)``; n is inf where round-off rules it out."""
+    sq0 = math.sqrt(phi0)
+    phib = 1.01 * phi0 if phi0 > 0.0 else 0.01
+    sqb = math.sqrt(phib)
+    f_tar = 5.0
+    while True:
+        lt = log_tol / phib
+        n = math.ceil(phib / math.pi * (1.0 - 1.5 * lt + math.sqrt(1.0 - 2.0 * lt)))
+        a = math.pi * n / phib
+        sq_mu = sqb * abs(4.0 - a) / abs(7.0 - math.sqrt(1.0 + 12.0 * a))
+        f_bar = ((sqb - sq0) / sq_mu) ** (-p)
+        if p < 1.0e-14 or 1.0 < f_bar < 10.0:
+            break
+        sqb = f_tar ** (-1.0 / p) * sq_mu + sq0
+        phib = sqb * sqb
+    mu = sq_mu * sq_mu
+    h = (-3.0 * a - 2.0 + 2.0 * math.sqrt(1.0 + 12.0 * a)) / (4.0 - a) / n
+    # keep exp(mu) from amplifying round-off past the target
+    threshold = log_tol - _LOG_EPS
+    if mu > threshold:
+        q = 0.0 if p < 1.0e-14 else f_tar ** (-1.0 / p) * math.sqrt(mu)
+        phib = (q + sq0) ** 2
+        if phib >= threshold:
+            return mu, h, math.inf
+        w = math.sqrt(_LOG_EPS / (_LOG_EPS - log_tol))
+        u = math.sqrt(-phib / _LOG_EPS)
+        mu = threshold
+        n = math.ceil(w * log_tol / (2.0 * math.pi) / (u * w - 1.0))
+        h = w / n
+    return mu, h, n
+
+
+def _parabola(alpha: float, beta: float, phi: float | None = None):
+    """``(mu, h, n, left)`` of the admissible parabola with the fewest nodes.
+
+    ``phi`` is (Re s + |s|)/2 of the poles (one, or a conjugate pair), or
+    None where there are none.  ``left`` means the contour passes between
+    the origin and the poles, so their residues must be added.
+    """
+    p = max(0.0, 2.0 * (beta - alpha - 1.0))
+    log_tol = _LOG_TOL
+    while True:
+        if phi is None:
+            best = (*_region_unbounded(0.0, p, log_tol), False)
+        else:
+            best = (*_region_left(phi, p, log_tol), True)
+            if phi < _LOG_TOL - _LOG_EPS:
+                right = (*_region_unbounded(phi, 1.0, log_tol), False)
+                best = min(best, right, key=lambda c: c[2])
+        if best[2] <= 200:
+            return best
+        log_tol += math.log(10.0)
+
+
+def _contour_sum(alpha: float, beta: float, z: np.ndarray, mu: float, h: float, n: int):
+    """Trapezoidal rule with step ``h`` and nodes |k| <= n on the parabola
+    s(u) = mu (1 + iu)^2 for (1/2 pi i) int e^s s^(alpha-beta) / (s^alpha - z) ds.
+
+    For real z the nodes at -u are the conjugates of those at u, so the sum
+    runs over u >= 0 only and keeps the imaginary parts.
+    """
+    u = h * np.arange(n + 1)
+    s = mu * (1.0 + 1j * u) ** 2
+    w = np.exp(s) * s ** (alpha - beta) * (2.0 * mu * (1j - u)) * (h / math.pi)
+    w[0] *= 0.5
+    sa = s**alpha
+    out = np.empty(z.shape)
+    rows = max(1, _BLOCK // (n + 1))
+    for i in range(0, z.size, rows):
+        out[i : i + rows] = (w / (sa - z[i : i + rows, None])).imag.sum(axis=1)
+    return out
+
+
+def _ml_poles(alpha: float, beta: float, z: float) -> float:
+    """Contour sum plus residues at one ``z`` whose transform has poles off
+    the negative real axis: z^(1/alpha) for z > 0, the pair
+    |z|^(1/alpha) e^(+-i pi/alpha) for z < 0 and alpha > 1."""
+    r = abs(z) ** (1.0 / alpha)
+    poles = r * np.exp([0j] if z > 0.0 else [1j * math.pi / alpha, -1j * math.pi / alpha])
+    mu, h, n, left = _parabola(alpha, beta, (poles[0].real + r) / 2.0)
+    val = _contour_sum(alpha, beta, np.array([z]), mu, h, n)[0]
+    if left:
+        val += float(np.exp((1.0 - beta) * np.log(poles) + poles).sum().real) / alpha
     return val
 
 
-@lru_cache(maxsize=1 << 18)
-def _ml_core(alpha: float, beta: float, z: float) -> float:
-    if z == 0.0:
-        return 1.0 / gamma(beta)
-    if alpha == 1.0 and z < -35.0:
-        # elementary reductions; the general fallback's cost grows linearly
-        # in |z| here while these are exact
-        if beta == 1.0:
-            return math.exp(z)
-        if beta == 2.0:
-            return math.expm1(z) / z
-    if z > 0.0 and math.log(z) / alpha >= 6.5682:
-        # exp(z^(1/alpha))/alpha dominates and already exceeds double range
-        return math.inf
-    val, est = _ml_series_double(alpha, beta, z)
-    if est <= _DOUBLE_ACCEPT:
-        return val
-    if z <= _ASYM_TRY:
-        aval, arel, aabs = _ml_asymptotic(alpha, beta, z)
-        if arel <= _ASYM_ACCEPT or (z < -50.0 and aabs <= _ASYM_ACCEPT):
-            return aval
-    return _ml_series_mp(alpha, beta, z)
+def _ml_contour(alpha: float, beta: float, z: np.ndarray) -> np.ndarray:
+    """E_{alpha,beta} at nonzero ``z`` by the contour, beta shifted down to at
+    most _BETA_CONTOUR and climbed back by the index-shift recurrence."""
+    m = max(0, math.ceil((beta - _BETA_CONTOUR) / alpha))
+    b0 = beta - m * alpha
+    val = np.empty(z.shape)
+    poles = (z > 0.0) | (alpha > 1.0)
+    mu, h, n, _ = _parabola(alpha, b0)
+    val[~poles] = _contour_sum(alpha, b0, z[~poles], mu, h, n)
+    for i in np.flatnonzero(poles):
+        val[i] = _ml_poles(alpha, b0, float(z[i]))
+    for j in range(m):
+        val = (val - 1.0 / gamma(b0 + j * alpha)) / z
+    return val
+
+
+def _ml(alpha: float, beta: float, z: np.ndarray) -> np.ndarray:
+    """E_{alpha,beta} at every entry of the finite 1-D float array ``z``."""
+    if alpha == 1.0 and beta == 1.0:
+        return np.exp(z)
+    if alpha == 1.0 and beta == 2.0:
+        safe = np.where(z == 0.0, 1.0, z)
+        return np.where(z == 0.0, 1.0, np.expm1(safe) / safe)
+    out = np.full(z.shape, 1.0 / gamma(beta))  # the value at z = 0
+    over = z >= math.exp(_OVERFLOW_LOG * alpha)
+    out[over] = math.inf
+    rest = (z != 0.0) & ~over
+    disc = rest & (np.abs(z) <= max(1.0, beta**alpha))
+    val, est = _taylor(alpha, beta, z[disc])
+    ok = est <= _TAYLOR_ACCEPT
+    i = np.flatnonzero(disc)[ok]
+    out[i] = val[ok]
+    rest[i] = False
+    out[rest] = _ml_contour(alpha, beta, z[rest])
+    return out
 
 
 def ml_two(p: MLParams, z: float) -> float:
     """E_{alpha,beta_star}(z) for real z.
 
     Relative accuracy is 1e-10 or better for |z| <= 50; for z < -50 the
-    absolute error is at most 1e-12 (deep asymptotic regime).  Large
-    positive arguments whose value exceeds double range return ``inf``.
+    absolute error is at most 1e-12.  Large positive arguments whose value
+    exceeds double range return ``inf``.
     """
-    z = float(z)
-    if not math.isfinite(z):
-        raise ValueError("ml_two: argument must be finite")
-    return _ml_core(p.alpha, p.beta_star, z)
+    return float(ml_two_array(p.alpha, p.beta_star, float(z)))
 
 
 def ml_one(alpha: float, z: float) -> float:
@@ -401,17 +391,13 @@ def ml_one(alpha: float, z: float) -> float:
 def ml_two_array(alpha: float, beta_star: float, z) -> np.ndarray:
     """E_{alpha,beta_star} over an array of real arguments.
 
-    Point evaluations go through the same cached scalar core, so repeated
-    arguments (convolution kernels on uniform grids) are free.
+    Each entry gets the same value :func:`ml_two` gives it alone.
     """
     p = MLParams(alpha, beta_star)
     z = np.asarray(z, dtype=float)
-    out = np.empty(z.shape, dtype=float)
-    flat = z.ravel()
-    res = out.ravel()
-    for i in range(flat.size):
-        res[i] = ml_two(p, flat[i])
-    return out
+    if not np.all(np.isfinite(z)):
+        raise ValueError("Mittag-Leffler arguments must be finite")
+    return _ml(p.alpha, p.beta_star, z.ravel()).reshape(z.shape)
 
 
 def ml_one_array(alpha: float, z) -> np.ndarray:

@@ -23,7 +23,7 @@ resolves, and boundary values of synthesized fields are exactly zero.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -182,6 +182,20 @@ class TestDirectCommand:
         bad.write_text("[operator]\nalpha = 0.5\n[direct]\npsi = sin(pi*t)\n")
         assert main(["direct", str(bad)]) == 2  # profiles may not involve t
 
+    def test_overflowing_constants_exit_2(self, tmp_path):
+        # float arithmetic overflows at once where big integers would grow
+        for psi in ("x*(1-x)*2**2**24", "x*(1-x)*9**9**9"):
+            spec = tmp_path / "ovf.ini"
+            spec.write_text(
+                SPEC.format(out="o", forcing="zero").replace(
+                    "psi = sin(pi*x) + 0.3*sin(2*pi*x)", f"psi = {psi}"
+                )
+            )
+            cmd = [sys.executable, "-m", "hbdiff.cli", "direct", str(spec)]
+            run = subprocess.run(cmd, capture_output=True, text=True, timeout=60)
+            assert run.returncode == 2, (psi, run.stderr)
+            assert "overflows" in run.stderr
+
     def test_boundary_violating_profile_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bv.ini"
         bad.write_text(

@@ -7,6 +7,8 @@ p^(a-b)/(p^a + x), and elementary closed forms (exp, cos, erfc).
 """
 
 import math
+import subprocess
+import sys
 
 import mpmath as mp
 import numpy as np
@@ -15,9 +17,6 @@ from numpy.testing import assert_allclose
 
 from hbdiff.special import (
     MLParams,
-    Z_SWITCH,
-    _ml_asymptotic,
-    _ml_series_mp,
     gamma,
     ml_one,
     ml_one_array,
@@ -107,6 +106,8 @@ def test_gamma_poles_raise():
 def test_gamma_overflow_edge():
     assert math.isfinite(gamma(171.0))
     assert gamma(172.0) == math.inf
+    assert gamma(300.5) == math.inf
+    assert gamma(-300.5) == 0.0
 
 
 def test_sinpi_exact_zeros_and_units():
@@ -297,16 +298,43 @@ def test_ml_deep_negative_absolute_accuracy():
 
 
 def test_ml_regime_overlap_band():
-    # the series and asymptotic routes must agree near the switch point
-    assert Z_SWITCH == 12.0
-    band = [-Z_SWITCH - 8.0, -Z_SWITCH - 4.0, -Z_SWITCH - 0.5, -Z_SWITCH + 0.5]
+    # crossover band between the small-|z| and deep negative-axis regimes
+    band = [-20.0, -16.0, -12.5, -11.5]
     for a in (0.45, 0.55, 0.7, 0.9):
         for b in (1.0, 1.5):
             for z in band:
-                av, arel, _ = _ml_asymptotic(a, b, z)
-                sv = _ml_series_mp(a, b, z)
-                if arel <= 1e-10:
-                    assert abs(av - sv) <= 1e-9 * abs(sv), (a, b, z)
+                got = ml_two(MLParams(a, b), z)
+                want = laplace_oracle(a, b, -z)
+                with mp.workdps(50):
+                    rel = float(abs((mp.mpf(got) - want) / want))
+                assert rel <= 1e-10, (a, b, z, rel)
+
+
+def test_ml_large_beta_grid():
+    # beta > 10 runs the contour at a smaller beta and climbs back
+    checked = 0
+    for b in (12.0, 20.0, 30.0, 45.0, 60.0):
+        for a in (0.2, 0.5, 0.8, 1.3):
+            for z in (-45.0, -8.0, -1.0, 1.0, 4.0):
+                got = ml_two(MLParams(a, b), z)
+                if got == math.inf:
+                    continue  # past double range
+                want = taylor_oracle(a, b, z)
+                if want is None:
+                    want = laplace_oracle(a, b, -z)
+                with mp.workdps(50):
+                    rel = float(abs((mp.mpf(got) - want) / want))
+                assert rel <= 1e-10, (a, b, z, rel)
+                checked += 1
+    assert checked >= 90
+
+
+def test_cli_import_leaves_mpmath_out():
+    code = "import sys, hbdiff.cli; print('mpmath' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_ml_array_wrappers_match_scalar():
