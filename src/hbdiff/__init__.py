@@ -27,7 +27,6 @@ from .operators import (
     reg_caputo_on_grid,
 )
 from .quadrature import (
-    leggauss_nodes,
     ml_product_matrix,
     ml_product_row,
     power_integral_at,
@@ -100,7 +99,6 @@ __all__ = [
     "hyper_bessel",
     "l1_caputo_solve",
     "lambda_star",
-    "leggauss_nodes",
     "make_time_grid",
     "ml_one",
     "ml_one_array",

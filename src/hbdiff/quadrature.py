@@ -4,42 +4,30 @@ Everything here works in a transformed abscissa in which the kernels take
 the form (s_n - sigma)^(b-1), possibly times a Mittag-Leffler factor of
 (s_n - sigma)^a.  Kernels are integrated exactly against the
 piecewise-linear interpolant of the data: the pure power kernel via
-closed-form hat-function moments, and the power-times-Mittag-Leffler
-kernel via its closed-form antiderivative (every such kernel the solvers
-need is of the matched shape u^(b-1) E_{a,b}(lam u^a), whose primitive is
-again a single Mittag-Leffler term).  The only discretization error left
-is the linear interpolation of the data being convolved.
+closed-form hat-function moments, and the matched kernel
+u^(b-1) E_{a,b}(lam u^a) via its closed-form antiderivative, again a
+single Mittag-Leffler term.  The only discretization error left is the
+linear interpolation of the data being convolved.
+
+On a uniform grid the matched-kernel weights depend on the lag alone, so
+:func:`lag_convolve` applies them by zero-padded FFT in O(N log N) time
+(Hairer, Lubich and Schlichte, SIAM J. Sci. Stat. Comput. 6 (1985)).
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
 from .special import ml_two_array
 
 __all__ = [
-    "leggauss_nodes",
+    "lag_convolve",
+    "ml_lag_weights",
     "ml_product_matrix",
     "ml_product_row",
     "power_integral_at",
     "power_kernel_weights",
 ]
-
-_LEG_CACHE: dict = {}
-
-
-def leggauss_nodes(n: int, a: float, b: float):
-    """Gauss-Legendre nodes and weights mapped to [a, b]."""
-    got = _LEG_CACHE.get(n)
-    if got is None:
-        got = np.polynomial.legendre.leggauss(n)
-        _LEG_CACHE[n] = got
-    x, w = got
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    return mid + half * x, half * w
 
 
 def _pow_diff(hi, lo, d):
@@ -104,18 +92,20 @@ def power_kernel_weights(s, delta: float) -> np.ndarray:
     return W
 
 
-def _ml_antiderivatives(order: float, btype: float, lam: float, u):
+def _ml_antiderivatives(order: float, btype: float, lam, u):
     """First and second antiderivatives of the matched power-ML kernel.
 
     The kernel K(u) = u^(btype-1) E_{order,btype}(lam u^order) satisfies
     d/du [u^b E_{a,b+1}(lam u^a)] = u^(b-1) E_{a,b}(lam u^a) term by term,
     so J0(u) = u^btype E_{order,btype+1}(lam u^order) integrates K from 0
     and J1(u) = u^(btype+1) E_{order,btype+2}(lam u^order) integrates J0.
+    A column of rates ``lam`` gives one row of each per rate.
     """
     u = np.asarray(u, dtype=float)
     z = lam * u**order
-    j0 = u**btype * ml_two_array(order, btype + 1.0, z)
-    j1 = u ** (btype + 1.0) * ml_two_array(order, btype + 2.0, z)
+    # the table goes to the evaluator flat, the form bench/worker.py's tracer reads
+    j0 = u**btype * ml_two_array(order, btype + 1.0, z.ravel()).reshape(z.shape)
+    j1 = u ** (btype + 1.0) * ml_two_array(order, btype + 2.0, z.ravel()).reshape(z.shape)
     return j0, j1
 
 
@@ -155,29 +145,58 @@ def ml_product_row(s, order: float, btype: float, lam: float) -> np.ndarray:
     return w
 
 
-def ml_product_matrix(s, order: float, btype: float, lam: float) -> np.ndarray:
-    """Lower-triangular K with (K @ g)[n] equal to the ml_product_row
-    convolution with upper limit s_n, for every node of the uniform grid
-    ``s``.  Uniformity lets all rows share one set of lag moments.
+def ml_lag_weights(s, order: float, btype: float, lams):
+    """Lag weights of the matched kernel, one row per rate in ``lams``.
+
+    On the uniform grid ``s`` the ml_product_row weights depend only on
+    the lag: lag cell c = [c h, (c+1) h] puts far[k, c] on the data node
+    farther from the upper limit and near[k, c] on the nearer one.  One
+    Mittag-Leffler call per antiderivative covers the (K, N) lag table.
+    Returns two (K, N - 1) arrays.
     """
     s = np.asarray(s, dtype=float)
     _check_ml_kernel_args(s, order, btype)
-    npt = s.size
     h = s[1] - s[0]
     if not np.allclose(np.diff(s), h, rtol=1e-12, atol=1e-15 * max(abs(s[-1]), 1.0)):
-        raise ValueError("ml_product_matrix: grid must be uniform")
-    lags = np.arange(npt, dtype=float) * h
-    j0, j1 = _ml_antiderivatives(order, btype, lam, lags)
+        raise ValueError("matched ML lag weights: grid must be uniform")
+    lags = np.arange(s.size, dtype=float) * h
+    j0, j1 = _ml_antiderivatives(order, btype, np.reshape(lams, (-1, 1)), lags)
     uL, uR = lags[:-1], lags[1:]
-    m0 = j0[1:] - j0[:-1]
-    i1 = uR * j0[1:] - uL * j0[:-1] - (j1[1:] - j1[:-1])
-    far = (i1 - uL * m0) / h  # weight at the data node farther from s_n
-    near = (uR * m0 - i1) / h  # weight at the data node nearer to s_n
-    K = np.zeros((npt, npt))
-    for n in range(1, npt):
-        # sigma-cell j in (1..n) occupies lag cell n - j
-        K[n, :n] += far[:n][::-1]
-        K[n, 1 : n + 1] += near[:n][::-1]
+    m0 = j0[:, 1:] - j0[:, :-1]
+    i1 = uR * j0[:, 1:] - uL * j0[:, :-1] - (j1[:, 1:] - j1[:, :-1])
+    return (i1 - uL * m0) / h, (uR * m0 - i1) / h
+
+
+def lag_convolve(far, near, data) -> np.ndarray:
+    """Rows of ml_product_matrix(s, ..., lams[k]) @ data[k], by FFT.
+
+    out[n] = sum_{c < n} far[c] data[n-1-c] + near[c] data[n-c], out[0] = 0:
+    two linear convolutions taken by zero-padded real FFT.  Rows
+    broadcast, so one data row may serve every rate.
+    """
+    data = np.asarray(data, dtype=float)
+    cells = data.shape[-1] - 1
+    size = 2 * cells  # holds the first `cells` terms of each linear convolution
+    spec = np.fft.rfft(far, size) * np.fft.rfft(data[..., :-1], size)
+    spec += np.fft.rfft(near, size) * np.fft.rfft(data[..., 1:], size)
+    conv = np.fft.irfft(spec, size)[..., :cells]
+    out = np.zeros(conv.shape[:-1] + (cells + 1,))
+    out[..., 1:] = conv
+    return out
+
+
+def ml_product_matrix(s, order: float, btype: float, lam: float) -> np.ndarray:
+    """Lower-triangular K with (K @ g)[n] equal to the ml_product_row
+    convolution with upper limit s_n, for every node of the uniform grid
+    ``s``: the Toeplitz matrix of the :func:`ml_lag_weights` row.
+    """
+    far, near = ml_lag_weights(s, order, btype, [lam])
+    # lag m collects near[m] and far[m - 1]; column 0 is never a near node
+    w = np.append(near[0], 0.0)
+    w[1:] += far[0]
+    idx = np.arange(far.shape[1] + 1)
+    K = np.tril(w[idx[:, None] - idx])
+    K[:, 0] = np.append(0.0, far[0])
     return K
 
 

@@ -8,10 +8,11 @@ where D^alpha is the regularized time-stretched fractional derivative of
 order alpha built on (t^theta d/dt).  Substituting s = t^rho with
 rho = 1 - theta turns the problem into a classical fractional one in s,
 and the solution has an explicit representation: a Mittag-Leffler decay
-of the initial value plus two convolutions of the forcing against power
-and power-times-Mittag-Leffler kernels.  All convolutions use the
-exact-moment product integration from :mod:`hbdiff.quadrature`, so the
-computed solution is exact (to rounding and evaluator accuracy) for the
+of the initial value plus one convolution of the forcing against the
+matched kernel u^(alpha-1) E_{alpha,alpha}(ls u^alpha).  The convolution
+uses the exact-moment lag weights of :mod:`hbdiff.quadrature` on a grid
+uniform in s, applied by FFT to many problems at once, so the computed
+solution is exact (to rounding and evaluator accuracy) for the
 piecewise-linear interpolant of the forcing samples.
 
 Also provided: the explicit resolvent solution of the second-kind
@@ -29,7 +30,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .operators import EKParams, FracParams, SampledFunction
-from .quadrature import (
+# bench/worker.py traces power_kernel_weights and ml_product_matrix by this module's name
+from .quadrature import (  # noqa: F401
+    lag_convolve,
+    ml_lag_weights,
     ml_product_matrix,
     ml_product_row,
     power_integral_at,
@@ -44,6 +48,7 @@ __all__ = [
     "lambda_star",
     "prabhakar_compose",
     "solve_scalar",
+    "solve_scalar_batch",
     "solve_scalar_constant",
     "solve_second_kind",
 ]
@@ -101,9 +106,9 @@ def _check_tgrid(tgrid) -> np.ndarray:
 def _clock_grid(tgrid: np.ndarray, beta: float, n_min: int = 512):
     """Quadrature grid uniform in the stretched clock s = t^beta.
 
-    If the requested grid already is uniform in s it is used directly;
-    otherwise an internal uniform grid is built and the caller must
-    interpolate back.  Returns (s, native).
+    Always uniform: the requested grid's own clock when it already is
+    uniform in s, otherwise an internal uniform grid that the caller must
+    interpolate back from.  Returns (s, native).
     """
     s_req = tgrid**beta
     ds = np.diff(s_req)
@@ -126,33 +131,45 @@ def _forcing_samples(forcing, t_nodes: np.ndarray):
     return np.interp(t_nodes, forcing.grid, forcing.values)
 
 
+def solve_scalar_batch(fp: FracParams, lam, u0, tgrid, forcing=None) -> np.ndarray:
+    """Traces (K, len(tgrid)) of the K problems with rates ``lam``, initial
+    values ``u0`` and forcing rows ``forcing`` (None, (K, len(tgrid)), or
+    one shared row) on a ``tgrid`` uniform in s = t^rho (make_time_grid).
+    One Mittag-Leffler table and one FFT serve all K kernels: O(K N log N)
+    time, O(K N) memory.
+    """
+    alpha, rho = fp.alpha, fp.rho
+    s = np.asarray(tgrid, dtype=float) ** rho
+    ls = lambda_star(fp, np.asarray(lam, dtype=float))
+    u0 = np.asarray(u0, dtype=float)
+    z = ls[:, None] * s**alpha
+    u = u0[:, None] * ml_one_array(alpha, z.ravel()).reshape(z.shape)
+    if forcing is not None:
+        far, near = ml_lag_weights(s, alpha, alpha, ls)
+        u += lag_convolve(far, near, forcing) / rho**alpha
+    u[:, 0] = u0
+    return u
+
+
 def solve_scalar(prob: ScalarProblem, tgrid) -> SampledFunction:
     """Explicit integral-representation solution of the scalar problem.
 
     u(t) = u0 E_a(ls * s^a)
-         + (1/(rho^a Gamma(a))) * int (s - sig)^(a-1) f d sig
-         + (ls/rho^a) * int (s - sig)^(2a-1) E_{a,2a}(ls (s - sig)^a) f d sig
+         + (1/rho^a) * int (s - sig)^(a-1) E_{a,a}(ls (s - sig)^a) f d sig
 
-    with s = t^rho and ls = -lam/rho^a.  Both convolutions are product
-    integrations in the stretched clock; u(0) = u0 exactly.
+    with s = t^rho and ls = -lam/rho^a.  E_{a,a}(z) = 1/Gamma(a) +
+    z E_{a,2a}(z) merges the power kernel and the E_{a,2a} kernel into
+    this one.  Runs :func:`solve_scalar_batch` with K = 1, on an internal
+    uniform s-grid when ``tgrid`` is not one; u(0) = u0 exactly.
     """
     tgrid = _check_tgrid(tgrid)
-    alpha, rho = prob.fp.alpha, prob.fp.rho
+    rho = prob.fp.rho
     s, native = _clock_grid(tgrid, rho)
     t_nodes = tgrid if native else s ** (1.0 / rho)
-    ls = lambda_star(prob.fp, prob.lam)
-
-    u = prob.u0 * ml_one_array(alpha, ls * s**alpha)
     fvals = _forcing_samples(prob.forcing, t_nodes)
-    if fvals is not None:
-        ra = rho**alpha
-        W = power_kernel_weights(s, alpha)
-        u = u + (W @ fvals) / (ra * gamma(alpha))
-        K = ml_product_matrix(s, alpha, 2.0 * alpha, ls)
-        u = u + (ls / ra) * (K @ fvals)
+    u = solve_scalar_batch(prob.fp, [prob.lam], [prob.u0], t_nodes, fvals)[0]
     if not native:
         u = np.interp(tgrid**rho, s, u)
-    u[0] = prob.u0
     return SampledFunction(tgrid, u)
 
 
@@ -213,13 +230,10 @@ def solve_second_kind(
     t_nodes = tgrid if native else sig ** (1.0 / p.beta)
     fvals = np.interp(t_nodes, f.grid, f.values)
 
-    g = fvals if p.gamma_w == 0.0 else sig**p.gamma_w * fvals
-    conv = ml_product_matrix(sig, p.delta, p.delta, lam) @ g
-    if p.gamma_w == 0.0:
-        y = fvals + lam * conv
-    else:
-        y = fvals.copy()
-        y[1:] = fvals[1:] + lam * sig[1:] ** (-p.gamma_w) * conv[1:]
+    # sig**0 == 1 exactly, so gamma_w = 0 needs no branch
+    conv = lag_convolve(*ml_lag_weights(sig, p.delta, p.delta, [lam]), sig**p.gamma_w * fvals)[0]
+    y = fvals.copy()
+    y[1:] += lam * sig[1:] ** (-p.gamma_w) * conv[1:]
     if not native:
         y0 = y[0]
         y = np.interp(tgrid**p.beta, sig, y)

@@ -13,7 +13,8 @@ where D^alpha is the regularized weighted-derivative power built from
     u_k(t) = psi_k E_alpha(-(k pi)^2 t^(rho alpha) / rho^alpha) + F_k(t)
 
 with F_k the forcing convolution; the field is re-assembled as
-u(x, t) = sum_k u_k(t) sin(k pi x).
+u(x, t) = sum_k u_k(t) sin(k pi x).  All K traces come from one
+:func:`hbdiff.scalar.solve_scalar_batch` call (one ML table, one lag FFT).
 
 Coefficient extraction uses an exact discrete sine transform on uniform
 grids: synthesize-then-analyze is the identity for any series the grid
@@ -29,7 +30,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .operators import FracParams, SampledFunction, make_time_grid
-from .scalar import ScalarProblem, solve_scalar, solve_scalar_constant
+from .scalar import ScalarProblem, solve_scalar, solve_scalar_batch, solve_scalar_constant
 from .special import ml_one_array, sinpi_array
 
 __all__ = [
@@ -123,17 +124,23 @@ def sine_analyze(g: SampledFunction, K: int) -> SineSeries:
     grid resolves every mode (K at most len(grid) - 2).  Boundary samples
     do not enter; the basis vanishes there.
     """
+    return SineSeries(_sine_coeffs(g.grid, g.values, K, "sine_analyze"))
+
+
+def _sine_coeffs(grid: np.ndarray, values: np.ndarray, K: int, what: str) -> np.ndarray:
+    """:func:`sine_analyze` of every row of ``values`` (sampled on ``grid``
+    along the last axis) in one product; shape (K,) + values.shape[:-1]."""
     if K < 1:
-        raise ValueError("sine_analyze: need at least one mode")
-    h = _require_unit_uniform(g.grid, "sine_analyze")
-    n = g.grid.size - 1
+        raise ValueError(f"{what}: need at least one mode")
+    h = _require_unit_uniform(grid, what)
+    n = grid.size - 1
     if K > n - 1:
-        raise ValueError(f"sine_analyze: a grid with {n} cells resolves at most {n - 1} modes")
+        raise ValueError(f"{what}: a grid with {n} cells resolves at most {n - 1} modes")
     j = np.arange(1, n)
     k = np.arange(1, K + 1)
     # discrete orthogonality: sum_j sin(k pi j/n) sin(m pi j/n) = (n/2) delta_km
     S = sinpi_array(np.outer(k, j) / n)
-    return SineSeries(2.0 * h * (S @ g.values[1:-1]))
+    return 2.0 * h * (S @ values[..., 1:-1].T)
 
 
 def sine_synthesize(series: SineSeries, xgrid) -> SampledFunction:
@@ -244,45 +251,32 @@ def _resample_unit(f: SampledFunction, xgrid: np.ndarray) -> SampledFunction:
     return SampledFunction(xgrid, np.interp(xgrid, f.grid, f.values))
 
 
-def _mode_traces(spec: DirectProblemSpec, psi_c: np.ndarray, tgrid, xgrid) -> np.ndarray:
-    K = spec.modes
-    U = np.empty((K, tgrid.size))
-    lam = (np.arange(1, K + 1) * math.pi) ** 2
-    forcing = spec.forcing
-
-    if isinstance(forcing, SeparableForcing) and forcing.time is None:
-        g_c = sine_analyze(_resample_unit(forcing.space, xgrid), K).coeffs
-        for i in range(K):
-            U[i] = solve_scalar_constant(spec.fp, lam[i], psi_c[i], g_c[i], tgrid).values
-        return U
-
+def _forcing_mode_traces(forcing, K: int, xgrid, tgrid) -> np.ndarray:
+    """Sine coefficient traces f_k(t) of the forcing on ``tgrid``, shape
+    (K, len(tgrid)).  A tensor forcing is analyzed in one product against
+    one sine matrix."""
     if isinstance(forcing, SeparableForcing):
         g_c = sine_analyze(_resample_unit(forcing.space, xgrid), K).coeffs
-        traces = [
-            SampledFunction(forcing.time.grid, g_c[i] * forcing.time.values) for i in range(K)
-        ]
-    elif isinstance(forcing, TensorForcing):
-        nf = forcing.xgrid.size - 1
-        if K > nf - 1:
-            raise ValidationError(
-                [f"forcing xgrid with {nf} cells resolves only {nf - 1} of {K} modes"]
-            )
-        coefs = np.empty((forcing.tgrid.size, K))
-        for i in range(forcing.tgrid.size):
-            coefs[i] = sine_analyze(
-                SampledFunction(forcing.xgrid, forcing.values[i]), K
-            ).coeffs
-        traces = [SampledFunction(forcing.tgrid, coefs[:, i]) for i in range(K)]
-    else:
-        traces = None
+        if forcing.time is None:
+            return np.repeat(g_c[:, None], tgrid.size, axis=1)
+        return g_c[:, None] * np.interp(tgrid, forcing.time.grid, forcing.time.values)
+    nf = forcing.xgrid.size - 1
+    if K > nf - 1:
+        raise ValidationError([f"forcing xgrid with {nf} cells resolves only {nf - 1} of {K} modes"])
+    coefs = _sine_coeffs(forcing.xgrid, forcing.values, K, "forcing")
+    return np.array([np.interp(tgrid, forcing.tgrid, row) for row in coefs])
 
-    for i in range(K):
-        if traces is None:
-            prob = ScalarProblem(spec.fp, lam[i], psi_c[i])
-        else:
-            prob = ScalarProblem(spec.fp, lam[i], psi_c[i], traces[i])
-        U[i] = solve_scalar(prob, tgrid).values
-    return U
+
+def _mode_traces(spec: DirectProblemSpec, psi_c: np.ndarray, tgrid, xgrid) -> np.ndarray:
+    K = spec.modes
+    lam = (np.arange(1, K + 1) * math.pi) ** 2
+    forcing = spec.forcing
+    if isinstance(forcing, SeparableForcing) and forcing.time is None:
+        g_c = sine_analyze(_resample_unit(forcing.space, xgrid), K).coeffs
+        rows = zip(lam, psi_c, g_c)
+        return np.array([solve_scalar_constant(spec.fp, *r, tgrid).values for r in rows])
+    rows = None if forcing is None else _forcing_mode_traces(forcing, K, xgrid, tgrid)
+    return solve_scalar_batch(spec.fp, lam, psi_c, tgrid, rows)
 
 
 def solve_direct(spec: DirectProblemSpec) -> SolutionField:

@@ -30,8 +30,7 @@ from .spectral import (
     SeparableForcing,
     SineSeries,
     SolutionField,
-    TensorForcing,
-    sine_analyze,
+    _forcing_mode_traces,
     sine_synthesize,
     solve_direct,
 )
@@ -200,30 +199,6 @@ def reduction_theta_zero(alpha: float, lam: float, tgrid, tol: float = 1e-10) ->
     )
 
 
-def _forcing_mode_traces(spec: DirectProblemSpec, tgrid: np.ndarray, K: int) -> np.ndarray:
-    """Coefficient traces f_k(t) on ``tgrid``, shape (K, len(tgrid))."""
-    out = np.zeros((K, tgrid.size))
-    forcing = spec.forcing
-    if forcing is None:
-        return out
-    xgrid = np.linspace(0.0, 1.0, spec.nx + 1)
-    if isinstance(forcing, SeparableForcing):
-        gvals = np.interp(xgrid, forcing.space.grid, forcing.space.values)
-        g_c = sine_analyze(SampledFunction(xgrid, gvals), K).coeffs
-        if forcing.time is None:
-            out[:] = g_c[:, None]
-        else:
-            h = np.interp(tgrid, forcing.time.grid, forcing.time.values)
-            out[:] = g_c[:, None] * h[None, :]
-    elif isinstance(forcing, TensorForcing):
-        coefs = np.empty((forcing.tgrid.size, K))
-        for i in range(forcing.tgrid.size):
-            coefs[i] = sine_analyze(SampledFunction(forcing.xgrid, forcing.values[i]), K).coeffs
-        for k in range(K):
-            out[k] = np.interp(tgrid, forcing.tgrid, coefs[:, k])
-    return out
-
-
 def residual_direct(
     field: SolutionField, spec: DirectProblemSpec, tol: float = 1e-2, start: float = 0.05
 ) -> VerificationReport:
@@ -243,11 +218,10 @@ def residual_direct(
     K = field.modes.shape[0]
     tgrid = field.tgrid
     lam = (np.arange(1, K + 1) * math.pi) ** 2
-    f_traces = _forcing_mode_traces(spec, tgrid, K)
-    res = np.empty((K, tgrid.size))
-    for i in range(K):
-        d = reg_caputo_on_grid(SampledFunction(tgrid, field.modes[i]), spec.fp)
-        res[i] = d + lam[i] * field.modes[i] - f_traces[i]
+    f = 0.0 if spec.forcing is None else _forcing_mode_traces(spec.forcing, K, field.xgrid, tgrid)
+    res = np.array([reg_caputo_on_grid(SampledFunction(tgrid, u), spec.fp) for u in field.modes])
+    res += lam[:, None] * field.modes
+    res -= f
     k = np.arange(1, K + 1)
     S = sinpi_array(np.outer(k, field.xgrid))
     R = res.T @ S

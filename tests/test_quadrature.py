@@ -7,6 +7,8 @@ high-precision adaptive quadrature.
 """
 
 import math
+import subprocess
+import sys
 
 import mpmath as mp
 import numpy as np
@@ -14,7 +16,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from hbdiff.quadrature import (
-    leggauss_nodes,
+    lag_convolve,
+    ml_lag_weights,
     ml_product_matrix,
     ml_product_row,
     power_integral_at,
@@ -29,14 +32,6 @@ def kernel_quad_oracle(s_n, delta, fn, dps=40):
         val = mp.quad(lambda sig: (s_n - sig) ** (mp.mpf(delta) - 1) * fn(sig),
                       [0, s_n * mp.mpf("0.5"), s_n * mp.mpf("0.99"), s_n])
         return float(val)
-
-
-def test_leggauss_nodes_integrate_polynomials():
-    x, w = leggauss_nodes(8, 0.25, 1.75)
-    for p in range(0, 16):
-        got = float(np.sum(w * x**p))
-        want = (1.75 ** (p + 1) - 0.25 ** (p + 1)) / (p + 1)
-        assert_allclose(got, want, rtol=1e-13)
 
 
 @pytest.mark.parametrize("delta", [0.3, 0.5, 0.9, 1.0, 1.5])
@@ -150,6 +145,32 @@ def test_ml_product_rejects_bad_input():
         ml_product_row(s + 0.1, 0.5, 0.5, 1.0)
     with pytest.raises(ValueError):
         ml_product_row(s, 0.5, 0.0, 1.0)
+
+
+def test_lag_convolve_matches_dense_rows():
+    # one lag table for several rates (zero, decaying, steep, growing),
+    # applied by FFT, against the dense Toeplitz matrix of each rate
+    s = np.linspace(0.0, 1.3, 257)
+    lams = np.array([0.0, -2.0, -400.0, 1.5])
+    far, near = ml_lag_weights(s, 0.55, 0.55, lams)
+    g = np.cos(2.0 * s) + s
+    rows = np.vstack([g, g**2, -g, np.sin(s)])
+    one, many = lag_convolve(far, near, g), lag_convolve(far, near, rows)
+    for k, lam in enumerate(lams):
+        K = ml_product_matrix(s, 0.55, 0.55, lam)
+        for got, data in ((one[k], g), (many[k], rows[k])):
+            want = K @ data
+            assert got[0] == 0.0
+            assert_allclose(got, want, rtol=0, atol=1e-14 * np.max(np.abs(want)))
+
+
+def test_cli_import_leaves_numpy_fft_out():
+    # the lag convolution loads numpy.fft when it first runs, not at start-up
+    code = "import sys, hbdiff.cli; print('numpy.fft' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_ml_product_zero_lambda_reduces_to_power_weights():

@@ -14,7 +14,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from hbdiff.operators import EKParams, FracParams, SampledFunction, ek_integral, make_time_grid
-from hbdiff.quadrature import ml_product_row
+from hbdiff.quadrature import ml_product_matrix, ml_product_row, power_kernel_weights
 from hbdiff.scalar import (
     ConstantForcing,
     ScalarProblem,
@@ -22,10 +22,11 @@ from hbdiff.scalar import (
     lambda_star,
     prabhakar_compose,
     solve_scalar,
+    solve_scalar_batch,
     solve_scalar_constant,
     solve_second_kind,
 )
-from hbdiff.special import ml_one, ml_one_array
+from hbdiff.special import gamma, ml_one, ml_one_array
 
 
 def make_grid(fp, horizon=1.0, n=512):
@@ -109,6 +110,49 @@ def test_solve_scalar_interpolates_on_non_stretched_grids():
     ls = lambda_star(fp, 1.0)
     want = ml_one_array(0.5, ls * t_uniform ** (fp.rho * 0.5))
     assert_allclose(u.values, want, rtol=0, atol=2e-6)
+
+
+def test_merged_kernel_matches_two_term_reference():
+    # criterion 4's draws: the single E_{a,a} kernel applied by lag FFT
+    # against the dense two-term sum it replaces (the power kernel over
+    # Gamma(a) plus ls u^(2a-1) E_{a,2a})
+    rng = np.random.default_rng(41)
+    worst = 0.0
+    for _ in range(10):
+        alpha = rng.uniform(0.3, 0.9)
+        theta = rng.uniform(-1.0, 0.7)
+        lam = rng.uniform(0.1, 10.0)
+        u0 = rng.uniform(-1.0, 1.0)
+        c = rng.uniform(-1.0, 1.0, size=4)
+        fp = FracParams(alpha, theta)
+        for n in (512, 1024):
+            t = make_time_grid(1.0, n, fp.rho)
+            f = c[0] + c[1] * t + c[2] * t**2 + c[3] * t**3
+            got = solve_scalar(ScalarProblem(fp, lam, u0, SampledFunction(t, f)), t).values
+            s = t**fp.rho
+            ls = lambda_star(fp, lam)
+            ra = fp.rho**alpha
+            want = (
+                u0 * ml_one_array(alpha, ls * s**alpha)
+                + power_kernel_weights(s, alpha) @ f / (ra * gamma(alpha))
+                + (ls / ra) * (ml_product_matrix(s, alpha, 2.0 * alpha, ls) @ f)
+            )
+            worst = max(worst, np.max(np.abs(got - want)) / np.max(np.abs(want)))
+    assert worst <= 1e-12
+
+
+def test_batch_rows_match_single_solves():
+    fp = FracParams(0.7, 0.2)
+    t = make_grid(fp, n=256)
+    lam = np.array([0.0, 1.0, 90.0, -0.5])
+    u0 = np.array([0.3, -1.0, 0.5, 2.0])
+    rows = np.vstack([np.cos(k * t) for k in range(1, 5)])
+    got = solve_scalar_batch(fp, lam, u0, t, rows)
+    for k in range(4):
+        one = solve_scalar(ScalarProblem(fp, lam[k], u0[k], SampledFunction(t, rows[k])), t)
+        assert_allclose(got[k], one.values, rtol=0, atol=1e-14 * np.max(np.abs(one.values)))
+    decay = ml_one_array(0.7, lambda_star(fp, lam)[:, None] * t ** (fp.rho * 0.7))
+    assert_allclose(solve_scalar_batch(fp, lam, u0, t), u0[:, None] * decay, rtol=1e-14)
 
 
 def test_solve_scalar_validation():
@@ -196,6 +240,21 @@ def test_second_kind_substitution_residual(gamma_w):
         ik = ek_integral(y, p, t)
         resid = y.value_at(t) - lam * t ** (beta * delta) * ik - f.value_at(t)
         assert abs(resid) < 2e-4
+
+
+@pytest.mark.parametrize("gamma_w", [0.0, 0.4])
+def test_second_kind_matches_dense_matrix(gamma_w):
+    # the lag-FFT resolvent term against the dense ml_product_matrix product
+    beta, delta, lam = 1.3, 0.6, -1.5
+    tgrid = np.linspace(0.0, 1.0, 513) ** (1.0 / beta)
+    f = SampledFunction.from_callable(lambda tt: np.cos(1.5 * tt) + 0.5, tgrid)
+    y = solve_second_kind(f, lam, EKParams(beta, gamma_w, delta), tgrid)
+    sig = tgrid**beta
+    g = sig**gamma_w * f.values
+    want = ml_product_matrix(sig, delta, delta, lam) @ g
+    got = np.zeros(sig.size)
+    got[1:] = (y.values[1:] - f.values[1:]) * sig[1:] ** gamma_w / lam
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_second_kind_rejects_bad_delta():

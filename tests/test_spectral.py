@@ -5,6 +5,7 @@ solver oracles are the single-mode closed forms checked elsewhere.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -196,6 +197,30 @@ def test_direct_tensor_matches_separable():
     sol_t = solve_direct(DirectProblemSpec(fp, psi, tensor, modes=10, nx=64, nt=128))
     sol_s = solve_direct(DirectProblemSpec(fp, psi, sep, modes=10, nx=64, nt=128))
     assert np.max(np.abs(sol_t.values - sol_s.values)) < 1e-11
+
+
+def test_direct_long_time_grid_memory():
+    # K = 8 modes on 2^14 time cells with t-dependent forcing; one dense
+    # N x N kernel would take 2 GB.  The forcing is linear in s = t^rho, so
+    # the quadrature is exact and a coarse solve must agree on its nodes.
+    fp = FracParams(0.6, 0.3)
+    x = unit_grid(32)
+    psi = SampledFunction(x, np.sin(math.pi * x) - 0.4 * np.sin(3.0 * math.pi * x))
+
+    def solve(nt):
+        t = make_time_grid(1.0, nt, fp.rho)
+        forcing = SeparableForcing(SampledFunction(x, bump(x)), SampledFunction(t, 1.0 + t**fp.rho))
+        return solve_direct(DirectProblemSpec(fp, psi, forcing, modes=8, nx=32, nt=nt))
+
+    tracemalloc.start()
+    try:
+        fine = solve(2**14)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+    coarse = solve(2**10)
+    assert_allclose(fine.modes[:, ::16], coarse.modes, rtol=0, atol=1e-12)
 
 
 def test_direct_initial_slice_and_boundaries():
