@@ -56,7 +56,8 @@ from .errors import IllPosedError, ValidationError
 from .inverse import InverseProblemSpec, reconstruct_source_field, solve_inverse
 from .operators import FracParams, SampledFunction, make_time_grid
 from .special import MLParams, ml_two
-from .spectral import (
+# bench/worker.py's WRAPS traces sine_analyze by this module's name
+from .spectral import (  # noqa: F401
     DirectProblemSpec,
     SeparableForcing,
     TensorForcing,
@@ -232,19 +233,13 @@ def _out_dir(cp: configparser.ConfigParser, spec_dir: str) -> str:
     return path
 
 
-def _write_grid(path: str, xgrid, tgrid, values) -> None:
+def _write_csv(path: str, header: str, columns) -> None:
+    """One header line, then row i holds entry i of every column (a 2-D
+    column contributes each of its own columns), each value through _fmt."""
     with open(path, "w", newline="\n") as fh:
-        fh.write("x\\t," + ",".join(_fmt(x) for x in xgrid) + "\n")
-        for i, t in enumerate(tgrid):
-            fh.write(_fmt(t) + "," + ",".join(_fmt(v) for v in values[i]) + "\n")
-
-
-def _write_modes(path: str, tgrid, modes) -> None:
-    K = modes.shape[0]
-    with open(path, "w", newline="\n") as fh:
-        fh.write("t," + ",".join(f"u_{k}" for k in range(1, K + 1)) + "\n")
-        for i, t in enumerate(tgrid):
-            fh.write(_fmt(t) + "," + ",".join(_fmt(modes[k, i]) for k in range(K)) + "\n")
+        fh.write(header + "\n")
+        for row in np.column_stack(columns):
+            fh.write(",".join(map(_fmt, row.tolist())) + "\n")
 
 
 def _write_jsonl(path: str, records) -> None:
@@ -286,8 +281,10 @@ def _cmd_direct(args) -> int:
     )
     sol = solve_direct(spec)
     out = _out_dir(cp, spec_dir)
-    _write_grid(os.path.join(out, "u_grid.csv"), sol.xgrid, sol.tgrid, sol.values)
-    _write_modes(os.path.join(out, "mode_traces.csv"), sol.tgrid, sol.modes)
+    header = "x\\t," + ",".join(map(_fmt, sol.xgrid))
+    _write_csv(os.path.join(out, "u_grid.csv"), header, (sol.tgrid, sol.values))
+    header = "t," + ",".join(f"u_{k}" for k in range(1, modes + 1))
+    _write_csv(os.path.join(out, "mode_traces.csv"), header, (sol.tgrid, sol.modes.T))
     _write_jsonl(
         os.path.join(out, "diagnostics.jsonl"),
         [
@@ -321,21 +318,15 @@ def _cmd_inverse(args) -> int:
     spec = InverseProblemSpec(fp, psi, phi, horizon, modes=modes, nx=nx, nt=nt)
     res = solve_inverse(spec)
     out = _out_dir(cp, spec_dir)
-    _write_grid(os.path.join(out, "u_grid.csv"), res.u.xgrid, res.u.tgrid, res.u.values)
+    header = "x\\t," + ",".join(map(_fmt, res.u.xgrid))
+    _write_csv(os.path.join(out, "u_grid.csv"), header, (res.u.tgrid, res.u.values))
     source = reconstruct_source_field(res, xgrid)
-    with open(os.path.join(out, "source.csv"), "w", newline="\n") as fh:
-        fh.write("x,f\n")
-        for x, v in zip(source.grid, source.values):
-            fh.write(f"{_fmt(x)},{_fmt(v)}\n")
-    psi_c = sine_analyze(psi, modes).coeffs
-    phi_c = sine_analyze(phi, modes).coeffs
-    with open(os.path.join(out, "mode_table.csv"), "w", newline="\n") as fh:
-        fh.write("k,psi,phi,transient,source\n")
-        for k in range(modes):
-            fh.write(
-                f"{k + 1},{_fmt(psi_c[k])},{_fmt(phi_c[k])},"
-                f"{_fmt(res.transient[k])},{_fmt(res.source.coeffs[k])}\n"
-            )
+    _write_csv(os.path.join(out, "source.csv"), "x,f", (source.grid, source.values))
+    _write_csv(
+        os.path.join(out, "mode_table.csv"),
+        "k,psi,phi,transient,source",
+        (np.arange(1, modes + 1), res.profile_coeffs.T, res.transient, res.source.coeffs),
+    )
     diag = {"record": "inverse", "alpha": fp.alpha, "theta": fp.theta, "horizon": horizon}
     diag.update(res.diagnostics)
     _write_jsonl(os.path.join(out, "diagnostics.jsonl"), [diag])

@@ -14,7 +14,9 @@ and matching both ends gives
 
 The denominator 1 - E_k lies in (0, 1) for every mode and tends to 1 as
 k grows, so high modes are well conditioned; a configurable margin guards
-the short-horizon edge cases.
+the short-horizon edge cases.  All K decay traces come from the decay
+table the direct solver uses for constant forcing (one Mittag-Leffler
+call); E_k is its last column, and the field is synthesized as there.
 
 A source that does not vanish at the walls has sine coefficients that
 decay only like 1/k, so the bare K-term series sum f_k sin(k pi x)
@@ -34,9 +36,11 @@ The wall values come from the modes just above the truncation,
 k = K+1 .. min(4K, nx-1), where the jump at the walls dominates: a
 least-squares fit matches mu_k phi_k, the discrete sine coefficients of
 -Delta_h phi with mu_k = (4/h^2) sin^2(k pi h/2), against the discrete
-sine coefficients of 1 - x and x.  With fewer than two modes in that
-window the lift is zero.  Band-limited data give a lift at rounding
-level.
+sine coefficients of 1 - x and x, all three analyzed in one product.
+With fewer than two modes in that window the lift is zero.  So is a fit
+no larger than the rounding of phi carried through it,
+eps max|phi| |mu|_2 |B^+|_2 with B the fit's basis: band-limited data
+give such a lift, whose digits are rounding noise.
 """
 
 from __future__ import annotations
@@ -48,10 +52,11 @@ import numpy as np
 
 from .errors import IllPosedError, ValidationError
 from .operators import FracParams, SampledFunction, make_time_grid
-from .scalar import lambda_star
-from .special import ml_one, ml_one_array, sinpi_array
-from .spectral import (BOUNDARY_TOL, SineSeries, SolutionField, _resample_unit,
-                       sine_analyze, sine_synthesize)
+from .scalar import solve_scalar_batch
+# bench/worker.py's WRAPS traces ml_one, ml_one_array and sinpi_array by this module's name
+from .special import ml_one, ml_one_array, sinpi_array  # noqa: F401
+from .spectral import (SineSeries, SolutionField, _resample_unit, _sine_coeffs,
+                       _sine_values, _spec_failures, sine_analyze, sine_synthesize)
 
 __all__ = [
     "InverseProblemSpec",
@@ -76,25 +81,10 @@ class InverseProblemSpec:
     margin: float = 1e-8
 
     def __post_init__(self):
-        failures = []
-        if not (math.isfinite(self.horizon) and self.horizon > 0.0):
-            failures.append("observation time must be a positive finite number")
-        if self.modes < 1:
-            failures.append("mode count must be >= 1")
-        if self.nx < 2 or self.nt < 1:
-            failures.append("need nx >= 2 space cells and nt >= 1 time cells")
-        if self.modes > self.nx - 1:
-            failures.append(f"nx = {self.nx} cells resolve at most {self.nx - 1} modes")
+        profiles = {"initial profile": self.psi, "final profile": self.phi}
+        failures = _spec_failures(self, "observation time", profiles)
         if not (0.0 < self.margin < 1.0):
             failures.append("denominator margin must lie in (0, 1)")
-        for name, prof in (("initial", self.psi), ("final", self.phi)):
-            if not isinstance(prof, SampledFunction):
-                failures.append(f"{name} profile must be a SampledFunction on [0, 1]")
-                continue
-            if abs(prof.grid[-1] - 1.0) > 1e-12:
-                failures.append(f"{name} profile must be sampled on [0, 1]")
-            if abs(prof.values[0]) > BOUNDARY_TOL or abs(prof.values[-1]) > BOUNDARY_TOL:
-                failures.append(f"{name} profile must vanish at x = 0 and x = 1")
         if failures:
             raise ValidationError(failures)
 
@@ -110,6 +100,8 @@ class InverseResult:
     ``walls`` holds the source's wall values (f(0), f(1)) estimated from
     the final profile; :func:`reconstruct_source_field` adds their linear
     lift.  The default (0, 0) means no lift: the field is the bare series.
+    ``profile_coeffs`` holds the (2, K) sine coefficients of psi and phi
+    that the recovery used (None when not recorded).
     """
 
     u: SolutionField
@@ -117,6 +109,7 @@ class InverseResult:
     transient: np.ndarray
     diagnostics: dict
     walls: tuple[float, float] = (0.0, 0.0)
+    profile_coeffs: np.ndarray | None = None
 
 
 def solve_inverse(spec: InverseProblemSpec) -> InverseResult:
@@ -135,54 +128,41 @@ def solve_inverse(spec: InverseProblemSpec) -> InverseResult:
     phi_c = sine_analyze(phi, K).coeffs
 
     lam = (np.arange(1, K + 1) * math.pi) ** 2
-    pw = spec.horizon ** (fp.rho * fp.alpha)
-    decay_T = np.array([ml_one(fp.alpha, lambda_star(fp, lam[i]) * pw) for i in range(K)])
-    denom = 1.0 - decay_T
+    decay = solve_scalar_batch(fp, lam, np.ones(K), tgrid)  # unit data, no forcing
+    denom = 1.0 - decay[:, -1]
     worst = int(np.argmin(denom))
     if denom[worst] < spec.margin:
         raise IllPosedError(worst + 1, denom[worst], spec.margin)
 
     transient = (psi_c - phi_c) / denom
     f_c = lam * (psi_c - transient)
-    equilibrium = f_c / lam  # = psi_c - transient
-
-    salpha = tgrid ** (fp.rho * fp.alpha)
-    U = np.empty((K, tgrid.size))
-    for i in range(K):
-        U[i] = transient[i] * ml_one_array(fp.alpha, lambda_star(fp, lam[i]) * salpha)
-        U[i] += equilibrium[i]
-
-    k = np.arange(1, K + 1)
-    S = sinpi_array(np.outer(k, xgrid))
-    field = SolutionField(
-        xgrid=xgrid, tgrid=tgrid, values=U.T @ S, modes=U, tail=0.0
-    )
+    U = transient[:, None] * decay + (f_c / lam)[:, None]
+    field = SolutionField(xgrid, tgrid, _sine_values(U, xgrid), U)
 
     walls = _wall_values(phi, K)
     diagnostics = _diagnose(denom, worst, f_c, walls)
-    return InverseResult(
-        u=field, source=SineSeries(f_c), transient=transient, diagnostics=diagnostics, walls=walls
-    )
+    data = np.array([psi_c, phi_c])
+    return InverseResult(field, SineSeries(f_c), transient, diagnostics, walls, data)
 
 
 def _wall_values(phi: SampledFunction, K: int) -> tuple[float, float]:
     """Least-squares wall values (a, b) of the source -phi'' from the modes
-    K+1 .. min(4K, nx-1); (0, 0) when that window holds fewer than two."""
-    n = phi.grid.size - 1
+    K+1 .. min(4K, nx-1); (0, 0) when that window holds fewer than two, or
+    when the fit lies within the rounding of phi carried through it."""
+    x = phi.grid
+    n = x.size - 1
     kmax = min(4 * K, n - 1)
     if kmax - K < 2:
         return (0.0, 0.0)
     h = 1.0 / n
     k = np.arange(K + 1, kmax + 1)
     mu = (4.0 / h**2) * np.sin(0.5 * math.pi * k * h) ** 2
-    rhs = mu * sine_analyze(phi, kmax).coeffs[K:]
-    basis = np.column_stack(
-        [
-            sine_analyze(SampledFunction(phi.grid, 1.0 - phi.grid), kmax).coeffs[K:],
-            sine_analyze(SampledFunction(phi.grid, phi.grid), kmax).coeffs[K:],
-        ]
-    )
-    (a, b), *_ = np.linalg.lstsq(basis, rhs, rcond=None)
+    coeffs = _sine_coeffs(x, np.array([phi.values, 1.0 - x, x]), kmax, "wall fit")[K:]
+    (a, b), _, _, sv = np.linalg.lstsq(coeffs[:, 1:], mu * coeffs[:, 0], rcond=None)
+    # |phi_k| errs by about eps max|phi|; the fit scales that by |mu| and |B^+| = 1/sv[-1]
+    floor = np.finfo(float).eps * np.max(np.abs(phi.values)) * np.linalg.norm(mu) / sv[-1]
+    if max(abs(a), abs(b)) <= floor:
+        return (0.0, 0.0)
     return (float(a), float(b))
 
 

@@ -15,6 +15,7 @@ where D^alpha is the regularized weighted-derivative power built from
 with F_k the forcing convolution; the field is re-assembled as
 u(x, t) = sum_k u_k(t) sin(k pi x).  All K traces come from one
 :func:`hbdiff.scalar.solve_scalar_batch` call (one ML table, one lag FFT).
+:mod:`hbdiff.inverse` shares the synthesis, the spec checks and that call.
 
 Coefficient extraction uses an exact discrete sine transform on uniform
 grids: synthesize-then-analyze is the identity for any series the grid
@@ -30,8 +31,11 @@ import numpy as np
 
 from .errors import ValidationError
 from .operators import FracParams, SampledFunction, make_time_grid
-from .scalar import ScalarProblem, solve_scalar, solve_scalar_batch, solve_scalar_constant
-from .special import ml_one_array, sinpi_array
+from .scalar import ScalarProblem, solve_scalar, solve_scalar_batch
+from .special import sinpi_array
+# bench/worker.py's WRAPS traces these two by this module's name
+from .scalar import solve_scalar_constant  # noqa: F401
+from .special import ml_one_array  # noqa: F401
 
 __all__ = [
     "DirectProblemSpec",
@@ -143,12 +147,17 @@ def _sine_coeffs(grid: np.ndarray, values: np.ndarray, K: int, what: str) -> np.
     return 2.0 * h * (S @ values[..., 1:-1].T)
 
 
+def _sine_values(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """sum_k coeffs[k-1] sin(k pi x) at every x, for every column of
+    ``coeffs`` (modes along axis 0); exactly zero at x = 0, 1."""
+    k = np.arange(1, coeffs.shape[0] + 1)
+    return coeffs.T @ sinpi_array(np.outer(k, x))
+
+
 def sine_synthesize(series: SineSeries, xgrid) -> SampledFunction:
     """Pointwise sum of the sine series on ``xgrid``; exactly zero at x = 0, 1."""
     x = np.asarray(xgrid, dtype=float)
-    k = np.arange(1, series.modes + 1)
-    vals = series.coeffs @ sinpi_array(np.outer(k, x))
-    return SampledFunction(x, vals)
+    return SampledFunction(x, _sine_values(series.coeffs, x))
 
 
 def mode_forcing_term(fk: SampledFunction, k: int, fp: FracParams, tgrid) -> SampledFunction:
@@ -177,25 +186,39 @@ class DirectProblemSpec:
     nt: int = 512
 
     def __post_init__(self):
-        failures = []
-        if not (math.isfinite(self.horizon) and self.horizon > 0.0):
-            failures.append("horizon must be a positive finite number")
-        if self.modes < 1:
-            failures.append("mode count must be >= 1")
-        if self.nx < 2 or self.nt < 1:
-            failures.append("need nx >= 2 space cells and nt >= 1 time cells")
-        if self.modes > self.nx - 1:
-            failures.append(f"nx = {self.nx} cells resolve at most {self.nx - 1} modes")
-        if not isinstance(self.psi, SampledFunction):
-            failures.append("initial profile must be a SampledFunction on [0, 1]")
-        else:
-            if abs(self.psi.grid[-1] - 1.0) > 1e-12:
-                failures.append("initial profile must be sampled on [0, 1]")
-            if abs(self.psi.values[0]) > BOUNDARY_TOL or abs(self.psi.values[-1]) > BOUNDARY_TOL:
-                failures.append("initial profile must vanish at x = 0 and x = 1")
+        failures = _spec_failures(self, "horizon", {"initial profile": self.psi})
         failures += _forcing_failures(self.forcing, self.horizon)
         if failures:
             raise ValidationError(failures)
+
+
+def _profile_failures(name: str, prof) -> list:
+    """Why ``prof`` is not a sampled profile on [0, 1] vanishing at the walls."""
+    if not isinstance(prof, SampledFunction):
+        return [f"{name} must be a SampledFunction on [0, 1]"]
+    out = []
+    if abs(prof.grid[-1] - 1.0) > 1e-12:
+        out.append(f"{name} must be sampled on [0, 1]")
+    if abs(prof.values[0]) > BOUNDARY_TOL or abs(prof.values[-1]) > BOUNDARY_TOL:
+        out.append(f"{name} must vanish at x = 0 and x = 1")
+    return out
+
+
+def _spec_failures(spec, horizon_name: str, profiles: dict) -> list:
+    """Checks shared by the direct and inverse specs: the horizon, the mode
+    count, the grid sizes and each named profile."""
+    failures = []
+    if not (math.isfinite(spec.horizon) and spec.horizon > 0.0):
+        failures.append(f"{horizon_name} must be a positive finite number")
+    if spec.modes < 1:
+        failures.append("mode count must be >= 1")
+    if spec.nx < 2 or spec.nt < 1:
+        failures.append("need nx >= 2 space cells and nt >= 1 time cells")
+    if spec.modes > spec.nx - 1:
+        failures.append(f"nx = {spec.nx} cells resolve at most {spec.nx - 1} modes")
+    for name, prof in profiles.items():
+        failures += _profile_failures(name, prof)
+    return failures
 
 
 def _forcing_failures(forcing, horizon: float) -> list:
@@ -203,11 +226,7 @@ def _forcing_failures(forcing, horizon: float) -> list:
         return []
     out = []
     if isinstance(forcing, SeparableForcing):
-        g = forcing.space
-        if abs(g.grid[-1] - 1.0) > 1e-12:
-            out.append("forcing space factor must be sampled on [0, 1]")
-        if abs(g.values[0]) > BOUNDARY_TOL or abs(g.values[-1]) > BOUNDARY_TOL:
-            out.append("forcing must vanish at x = 0 and x = 1")
+        out += _profile_failures("forcing space factor", forcing.space)
         if forcing.time is not None and forcing.time.grid[-1] < horizon * (1.0 - 1e-12):
             out.append("forcing time factor must cover [0, horizon]")
     elif isinstance(forcing, TensorForcing):
@@ -272,9 +291,10 @@ def _mode_traces(spec: DirectProblemSpec, psi_c: np.ndarray, tgrid, xgrid) -> np
     lam = (np.arange(1, K + 1) * math.pi) ** 2
     forcing = spec.forcing
     if isinstance(forcing, SeparableForcing) and forcing.time is None:
-        g_c = sine_analyze(_resample_unit(forcing.space, xgrid), K).coeffs
-        rows = zip(lam, psi_c, g_c)
-        return np.array([solve_scalar_constant(spec.fp, *r, tgrid).values for r in rows])
+        # solve_scalar_constant's closed form, all modes on one decay table
+        eq = sine_analyze(_resample_unit(forcing.space, xgrid), K).coeffs / lam
+        decay = solve_scalar_batch(spec.fp, lam, np.ones(K), tgrid)
+        return (psi_c - eq)[:, None] * decay + eq[:, None]
     rows = None if forcing is None else _forcing_mode_traces(forcing, K, xgrid, tgrid)
     return solve_scalar_batch(spec.fp, lam, psi_c, tgrid, rows)
 
@@ -297,8 +317,4 @@ def solve_direct(spec: DirectProblemSpec) -> SolutionField:
     tail = float(np.sum(np.abs(all_c[spec.modes :])))
 
     U = _mode_traces(spec, psi_c, tgrid, xgrid)
-
-    k = np.arange(1, spec.modes + 1)
-    S = sinpi_array(np.outer(k, xgrid))
-    values = U.T @ S
-    return SolutionField(xgrid=xgrid, tgrid=tgrid, values=values, modes=U, tail=tail)
+    return SolutionField(xgrid, tgrid, _sine_values(U, xgrid), U, tail)

@@ -24,13 +24,14 @@ from .operators import (
 )
 from .quadrature import power_kernel_weights
 from .scalar import ScalarProblem, _check_tgrid, _forcing_samples, lambda_star, solve_scalar
-from .special import gamma, ml_one_array, sinpi_array
+from .special import gamma, ml_one_array
 from .spectral import (
     DirectProblemSpec,
     SeparableForcing,
     SineSeries,
     SolutionField,
     _forcing_mode_traces,
+    _sine_values,
     sine_synthesize,
     solve_direct,
 )
@@ -222,9 +223,7 @@ def residual_direct(
     res = np.array([reg_caputo_on_grid(SampledFunction(tgrid, u), spec.fp) for u in field.modes])
     res += lam[:, None] * field.modes
     res -= f
-    k = np.arange(1, K + 1)
-    S = sinpi_array(np.outer(k, field.xgrid))
-    R = res.T @ S
+    R = _sine_values(res, field.xgrid)
     sclock = tgrid**spec.fp.rho
     window = sclock >= start * sclock[-1]
     mx, l2 = _norms(R[window])

@@ -9,10 +9,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from hbdiff.cli import Expression, main
+from hbdiff.cli import Expression, _fmt, _write_csv, main
+from hbdiff.inverse import InverseProblemSpec, solve_inverse
 from hbdiff.operators import FracParams, SampledFunction, make_time_grid
 from hbdiff.special import MLParams, ml_two
-from hbdiff.spectral import DirectProblemSpec, SeparableForcing, solve_direct
+from hbdiff.spectral import DirectProblemSpec, SeparableForcing, sine_analyze, solve_direct
 
 
 SPEC = """\
@@ -208,6 +209,16 @@ class TestDirectCommand:
         assert "vanish" in capsys.readouterr().err
 
 
+def test_csv_writer_formats_every_value_like_fmt(tmp_path):
+    vals = np.array([-0.0, 3.0, 1e16, 0.1, 1e-300])
+    path = tmp_path / "t.csv"
+    _write_csv(str(path), "a,b,c", (vals, np.column_stack([vals[::-1], -vals])))
+    lines = path.read_text().split("\n")
+    assert lines[0] == "a,b,c" and lines[-1] == ""
+    assert lines[1:-1] == [",".join(map(_fmt, r)) for r in zip(vals, vals[::-1], -vals)]
+    assert [r.split(",")[0] for r in lines[1:-1]] == ["0", "3", "1e+16", "0.1", "1e-300"]
+
+
 class TestInverseCommand:
     def test_outputs_and_mode_table(self, tmp_path):
         spec = write_spec(tmp_path)
@@ -245,6 +256,18 @@ class TestInverseCommand:
         x = rows[:, 0]
         k = np.arange(1, f_c.size + 1)
         assert_allclose(rows[:, 1], f_c @ np.sin(np.outer(k, np.pi * x)), atol=1e-13)
+
+    def test_mode_table_prints_carried_profile_coefficients(self, tmp_path):
+        spec = write_spec(tmp_path)
+        assert main(["inverse", spec]) == 0
+        table = np.loadtxt(tmp_path / "out" / "mode_table.csv", delimiter=",", skiprows=1)
+        x = np.linspace(0.0, 1.0, 17)
+        psi = SampledFunction(x, np.sin(np.pi * x))
+        phi = SampledFunction(x, 0.5 * np.sin(np.pi * x))
+        res = solve_inverse(InverseProblemSpec(FracParams(0.6, 0.3), psi, phi, 1.0, 4, 16, 8))
+        want = [sine_analyze(psi, 4).coeffs, sine_analyze(phi, 4).coeffs]
+        assert_array_equal(res.profile_coeffs, want)
+        assert_array_equal(table[:, 1:3], res.profile_coeffs.T)
 
     def test_horizon_override_in_inverse_section(self, tmp_path):
         spec = write_spec(tmp_path, extra="\n")

@@ -208,6 +208,41 @@ def test_band_limited_source_gets_no_lift():
     assert max(abs(w) for w in res.walls) <= 1e-12
 
 
+def test_band_limited_final_data_get_no_lift():
+    # phi = sum_{k<=K} c_k sin(k pi x), c_k uniform in (-1, 1) from
+    # default_rng([nx, draw]), draws 0..49: the fitted walls lie within
+    # phi's rounding carried through the fit, so no lift is applied
+    fp = FracParams(0.6, 0.3)
+    for nx in (16, 32, 64, 128):
+        K = nx // 4
+        x = unit_grid(nx)
+        zero = SampledFunction(x, np.zeros_like(x))
+        for draw in range(50):
+            coeffs = np.random.default_rng([nx, draw]).uniform(-1.0, 1.0, size=K)
+            phi = sine_synthesize(SineSeries(coeffs), x)
+            res = solve_inverse(InverseProblemSpec(fp, zero, phi, 1.0, modes=K, nx=nx, nt=4))
+            assert res.walls == (0.0, 0.0), (nx, draw, res.walls)
+
+
+def test_inverse_makes_one_mittag_leffler_call(monkeypatch):
+    import hbdiff.special as special
+
+    calls = []
+    real = special._ml
+
+    def counted(alpha, beta, z):
+        calls.append(z.size)
+        return real(alpha, beta, z)
+
+    monkeypatch.setattr(special, "_ml", counted)
+    fp = FracParams(0.6, 0.3)
+    x = unit_grid(64)
+    psi = SampledFunction(x, bump(x))
+    phi = SampledFunction(x, 0.5 * bump(x))
+    solve_inverse(InverseProblemSpec(fp, psi, phi, 1.0, modes=16, nx=64, nt=8))
+    assert calls == [16 * 9]
+
+
 def test_single_mode_source_synthesis():
     series = SineSeries(np.array([math.pi**2]))
     res = InverseResult(

@@ -9,10 +9,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from hbdiff.errors import ValidationError
 from hbdiff.operators import FracParams, SampledFunction, make_time_grid
+from hbdiff.scalar import solve_scalar_constant
 from hbdiff.special import ml_one_array
 from hbdiff.spectral import (
     DirectProblemSpec,
@@ -168,6 +169,23 @@ def test_direct_forced_single_mode():
     amp = (1.0 - ml_one_array(fp.alpha, z)) / math.pi**2
     want = np.outer(amp, np.sin(np.pi * sol.xgrid))
     assert np.max(np.abs(sol.values - want)) < 1e-10
+
+
+def test_direct_constant_forcing_equals_per_mode_closed_form():
+    # the shared decay table repeats solve_scalar_constant's arithmetic mode by mode
+    fp = FracParams(0.55, 0.35)
+    x = unit_grid(64)
+    psi = SampledFunction(x, bump(x) * (1.0 + np.sin(3.0 * x)))
+    g = SampledFunction(x, x * (1.0 - x) ** 2)
+    K = 12
+    sol = solve_direct(
+        DirectProblemSpec(fp, psi, SeparableForcing(g), horizon=1.5, modes=K, nx=64, nt=40)
+    )
+    lam = (np.arange(1, K + 1) * math.pi) ** 2
+    psi_c = sine_analyze(psi, 4 * K).coeffs[:K]
+    g_c = sine_analyze(g, K).coeffs
+    want = [solve_scalar_constant(fp, *r, sol.tgrid).values for r in zip(lam, psi_c, g_c)]
+    assert_array_equal(sol.modes, np.array(want))
 
 
 def test_direct_separable_with_time_matches_constant_path():
