@@ -24,6 +24,22 @@ alpha in (0,1), for theta < 1 and rho = 1 - theta, is
 and its regularized (Caputo-like) counterpart subtracts the f(0) cusp:
 
     D_reg f = D f - f(0) rho^alpha t^(-rho*alpha) / Gamma(1 - alpha).
+
+Integrating by parts in sigma = tau^rho, with S = t^rho, turns D_reg into
+the Caputo derivative in the stretched clock:
+
+    D_reg f (t) = rho^alpha / Gamma(1 - alpha)
+                  * integral over (0, S) of (S - sigma)^(-alpha) df/dsigma dsigma
+                = rho^alpha / (Gamma(1 - alpha) S)
+                  * integral over (0, S) of
+                    (S - sigma)^(-alpha) [(1-alpha)(f - f(0)) + t f'/rho] dsigma
+
+:func:`reg_caputo_on_grid` evaluates the first form on the interpolant's
+piecewise-constant slopes, or the second from a derivative channel, with
+no cusp to cancel.  :func:`hyper_bessel` and :func:`reg_caputo_hb` keep
+the Erdelyi-Kober definition, so the two derivations check each other.
+Every hat-weight integral here, and the clipping of the sigma nodes at
+the upper limit, is :mod:`hbdiff.quadrature`'s shared rule.
 """
 
 from __future__ import annotations
@@ -33,7 +49,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .quadrature import _cell_hat_weights, _pow_diff
+from .quadrature import _cell_hat_weights, _check_grid, _clip_profile, _hat_integral, _pow_diff
 from .special import gamma
 
 __all__ = [
@@ -102,14 +118,8 @@ class SampledFunction:
     deriv: np.ndarray | None = field(default=None)
 
     def __post_init__(self):
-        self.grid = np.asarray(self.grid, dtype=float)
+        self.grid = _check_grid(self.grid, "SampledFunction: grid")
         self.values = np.asarray(self.values, dtype=float)
-        if self.grid.ndim != 1 or self.grid.size < 2:
-            raise ValueError("SampledFunction: grid must be 1-d with at least 2 nodes")
-        if self.grid[0] != 0.0:
-            raise ValueError("SampledFunction: grid must start at 0")
-        if not np.all(np.diff(self.grid) > 0.0):
-            raise ValueError("SampledFunction: grid must be strictly increasing")
         if self.values.shape != self.grid.shape:
             raise ValueError("SampledFunction: values shape must match grid")
         if not np.all(np.isfinite(self.values)):
@@ -156,26 +166,15 @@ def make_time_grid(horizon: float, n: int, rho: float) -> np.ndarray:
 # ------------------------------------------------------------------ core
 
 
-def _sigma_profile(f: SampledFunction, beta: float, S: float):
-    """Nodes sigma = t^beta clipped to [0, S] with S appended, and the
-    data values at those nodes (linear interpolation in sigma)."""
+def _sigma_profile(f: SampledFunction, beta: float, t: float):
+    """Nodes sigma = tau^beta below S = t^beta with S appended, and the data
+    values there (linear interpolation in sigma); S, clamped to the grid
+    end, is the last node."""
     sig_full = f.grid**beta
-    tol = 1e-12 * max(sig_full[-1], 1.0)
-    if S > sig_full[-1] + tol:
+    S = t**beta
+    if S > sig_full[-1] + 1e-12 * max(sig_full[-1], 1.0):
         raise ValueError("evaluation point lies beyond the sampled grid")
-    S = min(S, float(sig_full[-1]))
-    keep = sig_full < S * (1.0 - 1e-14)
-    sig = np.append(sig_full[keep], S)
-    vals = np.append(f.values[keep], np.interp(S, sig_full, f.values))
-    return sig, vals
-
-
-def _raw_nodal(sig, gvals, S, delta):
-    """Integral of (S-sigma)^(delta-1) * PL[g](sigma) over [0, S]."""
-    uR = S - sig[:-1]
-    uL = S - sig[1:]
-    wL, wR = _cell_hat_weights(uR, uL, delta)
-    return float(np.sum(wL * gvals[:-1]) + np.sum(wR * gvals[1:]))
+    return _clip_profile(sig_full, f.values, min(S, float(sig_full[-1])))
 
 
 def _raw_affine(sig, a, b, S, delta):
@@ -188,31 +187,43 @@ def _raw_affine(sig, a, b, S, delta):
     return float(np.sum(a * m0) + np.sum(b * msig))
 
 
-def _first_cell_power(sig, f0, f1, S, delta, gw):
-    """Exact-in-sigma^gw integral over the first cell [0, sigma_1] of
-    (S-sigma)^(delta-1) sigma^gw (f0 + (f1-f0) sigma/sigma_1).
+def _exact_first_cell(raw, s1, f0, f1, S, delta, gw):
+    """``raw``, the nodal hat-weight integral of sigma^gw f up to each upper
+    limit in ``S``, with its first cell [0, s1] replaced by the integral of
+    (S-sigma)^(delta-1) sigma^gw (f0 + (f1-f0) sigma/s1) over that cell.
 
-    For S == sigma_1 this is a Beta-function moment; otherwise the smooth
-    kernel factor is linearized across the cell (its curvature there is
-    negligible against quadrature-level tolerances).
+    For S == s1 the integral is a Beta-function moment; otherwise the
+    smooth kernel factor is linearized across the cell (its curvature
+    there is negligible against quadrature-level tolerances).
     """
-    s1 = sig[1]
+    S = np.asarray(S, dtype=float)
     df = f1 - f0
-    if S <= s1 * (1.0 + 1e-14):
-        bg1 = gamma(gw + 1.0) * gamma(delta) / gamma(gw + delta + 1.0)
-        bg2 = gamma(gw + 2.0) * gamma(delta) / gamma(gw + delta + 2.0)
-        return S ** (gw + delta) * (f0 * bg1 + df * bg2)
-    k0 = S ** (delta - 1.0)
-    k1 = (S - s1) ** (delta - 1.0)
-    dk = k1 - k0
+    inside = S <= s1 * (1.0 + 1e-14)
+    bg1 = gamma(gw + 1.0) * gamma(delta) / gamma(gw + delta + 1.0)
+    bg2 = gamma(gw + 2.0) * gamma(delta) / gamma(gw + delta + 2.0)
+    beta_moment = S ** (gw + delta) * (f0 * bg1 + df * bg2)
+    Sx = np.where(inside, 2.0 * s1, S)  # keeps the unused linearized branch finite
+    k0 = Sx ** (delta - 1.0)
+    dk = (Sx - s1) ** (delta - 1.0) - k0
     c0 = f0 * k0
     c1 = f0 * dk / s1 + df * k0 / s1
     c2 = df * dk / (s1 * s1)
-    return (
+    linear = (
         c0 * s1 ** (gw + 1.0) / (gw + 1.0)
         + c1 * s1 ** (gw + 2.0) / (gw + 2.0)
         + c2 * s1 ** (gw + 3.0) / (gw + 3.0)
     )
+    _, wR = _cell_hat_weights(S, S - s1, delta)
+    return raw - wR * (s1**gw * f1) + np.where(inside, beta_moment, linear)
+
+
+def _weighted_data(sig, vals, gw):
+    """sigma^gw * vals with the weight carried nodally (0 at sigma = 0)."""
+    if gw == 0.0:
+        return vals
+    g = np.zeros_like(vals)
+    g[1:] = sig[1:] ** gw * vals[1:]
+    return g
 
 
 def ek_integral(f: SampledFunction, p: EKParams, t: float) -> float:
@@ -229,25 +240,12 @@ def ek_integral(f: SampledFunction, p: EKParams, t: float) -> float:
     gw = p.gamma_w
     if gw != 0.0 and gw <= -1.0:
         raise ValueError("ek_integral: gamma_w must exceed -1 for integrability")
-    S = t**p.beta
-    sig, vals = _sigma_profile(f, p.beta, S)
-    if gw == 0.0:
-        raw = _raw_nodal(sig, vals, S, p.delta)
-    else:
-        g = np.zeros_like(vals)
-        g[1:] = sig[1:] ** gw * vals[1:]
-        raw = _raw_nodal(sig, g, S, p.delta)
-        uR = S - sig[0]
-        uL = S - sig[1]
-        wL, wR = _cell_hat_weights(np.array([uR]), np.array([uL]), p.delta)
-        raw -= float(wL[0] * g[0] + wR[0] * g[1])
-        raw += _first_cell_power(sig, vals[0], vals[1], S, p.delta, gw)
+    sig, vals = _sigma_profile(f, p.beta, t)
+    S = sig[-1]
+    raw = _hat_integral(sig, _weighted_data(sig, vals, gw), p.delta)
+    if gw != 0.0:
+        raw = float(_exact_first_cell(raw, sig[1], vals[0], vals[1], S, p.delta, gw))
     return S ** (-(gw + p.delta)) / gamma(p.delta) * raw
-
-
-def _slopes_in_sigma(f: SampledFunction, beta: float):
-    sig = f.grid**beta
-    return sig, np.diff(f.values) / np.diff(sig)
 
 
 def ek_integrodiff(f: SampledFunction, p: EKParams, t: float) -> float:
@@ -269,25 +267,23 @@ def ek_integrodiff(f: SampledFunction, p: EKParams, t: float) -> float:
         return term1 + term2
     # tau f' = beta * sigma * (d f / d sigma): per-cell affine in sigma,
     # carrying sigma^gamma_w nodally via its own linear interpolant
-    S = t**p.beta
-    _, slopes = _slopes_in_sigma(f, p.beta)
-    sigS, _ = _sigma_profile(f, p.beta, S)
+    sigS, _ = _sigma_profile(f, p.beta, t)
+    S = sigS[-1]
     ncell = sigS.size - 1
     # kept nodes are a prefix of the grid, so cell j inherits slope j; the
     # clipped last cell lies inside original cell ncell-1
-    cell_slope = slopes[:ncell]
+    cell_slope = np.diff(f.values)[:ncell] / np.diff(f.grid**p.beta)[:ncell]
     gw = p.gamma_w
     if gw == 0.0:
         a = np.zeros(ncell)
         b = cell_slope
-        raw = _raw_affine(sigS, a, b, S, p_up.delta)
     else:
         # data sigma^gw * sigma * slope: interpolate sigma^(gw+1) nodally
         pw = sigS ** (gw + 1.0)
         h = np.diff(sigS)
         b = cell_slope * np.diff(pw) / h
         a = cell_slope * (pw[:-1] * sigS[1:] - pw[1:] * sigS[:-1]) / h
-        raw = _raw_affine(sigS, a, b, S, p_up.delta)
+    raw = _raw_affine(sigS, a, b, S, p_up.delta)
     term2 = S ** (-(gw + p_up.delta)) / gamma(p_up.delta) * raw
     return term1 + term2
 
@@ -304,26 +300,13 @@ def ek_integral_on_grid(f: SampledFunction, p: EKParams) -> np.ndarray:
     if gw != 0.0 and gw <= -1.0:
         raise ValueError("ek_integral_on_grid: gamma_w must exceed -1")
     sig = f.grid**p.beta
-    npt = sig.size
-    out = np.empty(npt)
+    g = _weighted_data(sig, f.values, gw)
+    raw = np.array([_hat_integral(sig[: n + 1], g[: n + 1], p.delta) for n in range(1, sig.size)])
+    if gw != 0.0:
+        raw = _exact_first_cell(raw, sig[1], f.values[0], f.values[1], sig[1:], p.delta, gw)
+    out = np.empty(sig.size)
     out[0] = f.values[0] * gamma(gw + 1.0) / gamma(gw + p.delta + 1.0)
-    gd = gamma(p.delta)
-    if gw == 0.0:
-        g = f.values
-    else:
-        g = np.zeros_like(f.values)
-        g[1:] = sig[1:] ** gw * f.values[1:]
-    for n in range(1, npt):
-        S = sig[n]
-        s_row = sig[: n + 1]
-        raw = _raw_nodal(s_row, g[: n + 1], S, p.delta)
-        if gw != 0.0:
-            uR = np.array([S - s_row[0]])
-            uL = np.array([S - s_row[1]])
-            wL, wR = _cell_hat_weights(uR, uL, p.delta)
-            raw -= float(wL[0] * g[0] + wR[0] * g[1])
-            raw += _first_cell_power(s_row, f.values[0], f.values[1], S, p.delta, gw)
-        out[n] = S ** (-(gw + p.delta)) / gd * raw
+    out[1:] = sig[1:] ** (-(gw + p.delta)) / gamma(p.delta) * raw
     return out
 
 
@@ -348,29 +331,29 @@ def reg_caputo_hb(f: SampledFunction, fp: FracParams, t: float) -> float:
 def reg_caputo_on_grid(f: SampledFunction, fp: FracParams) -> np.ndarray:
     """Regularized derivative at every grid node; index 0 carries the
     limit value 0 (the regularization removes the t -> 0 singularity for
-    sampled data with finite slope in the transformed clock)."""
+    sampled data with finite slope in the transformed clock).
+
+    Evaluated as the Caputo derivative in sigma = t^rho (see the module
+    docstring): piecewise-constant slopes of the interpolant, or the
+    hat-weight rule on (1-alpha)(f - f(0)) + t f'/rho when the sample
+    carries a derivative channel.
+    """
     rho = fp.rho
     alpha = fp.alpha
     sig = f.grid**rho
-    npt = sig.size
-    delta = 1.0 - alpha
+    out = np.zeros(sig.size)
     if f.deriv is not None:
-        tfp_vals = f.grid * f.deriv
-    else:
-        tfp_vals = None
-        slopes = np.diff(f.values) / np.diff(sig)
-    out = np.zeros(npt)
-    g1a = gamma(1.0 - alpha)
-    for n in range(1, npt):
-        S = sig[n]
-        s_row = sig[: n + 1]
-        i1 = _raw_nodal(s_row, f.values[: n + 1], S, delta)
-        if tfp_vals is not None:
-            i2 = _raw_nodal(s_row, tfp_vals[: n + 1], S, delta) / rho
-        else:
-            i2 = _raw_affine(s_row, np.zeros(n), slopes[:n], S, delta)
-        ekid = (1.0 - alpha) * S ** (-delta) / g1a * i1 + S ** (-delta) / g1a * i2
-        out[n] = rho**alpha * S ** (-alpha) * ekid - f.values[0] * rho**alpha * S ** (
-            -alpha
-        ) / g1a
-    return out
+        g = (1.0 - alpha) * (f.values - f.values[0]) + f.grid * f.deriv / rho
+        for n in range(1, sig.size):
+            out[n] = _hat_integral(sig[: n + 1], g[: n + 1], 1.0 - alpha) / sig[n]
+        return rho**alpha / gamma(1.0 - alpha) * out
+    dv = np.diff(f.values)
+    for n in range(1, sig.size):
+        uR = sig[n] - sig[:n]
+        uL = sig[n] - sig[1 : n + 1]
+        h = uR - uL
+        # cells collapsed by rounding (uR == uL) carry no mass
+        wide = h > 0.0
+        w = np.where(wide, _pow_diff(uR, uL, 1.0 - alpha) / np.where(wide, h, 1.0), 0.0)
+        out[n] = np.sum(dv[:n] * w)
+    return rho**alpha / gamma(2.0 - alpha) * out

@@ -9,6 +9,13 @@ u^(b-1) E_{a,b}(lam u^a) via its closed-form antiderivative, again a
 single Mittag-Leffler term.  The only discretization error left is the
 linear interpolation of the data being convolved.
 
+The pure power-kernel rule has one home: :func:`_clip_profile` cuts the
+data at an upper limit p (the nodes below p, then p itself) and
+:func:`_hat_integral` integrates the kernel with upper limit sig[-1]
+against the hat functions.  :func:`power_integral_at` and the
+Erdelyi-Kober integrals of :mod:`hbdiff.operators` are built on these
+two; every grid they take passes the one check :func:`_check_grid`.
+
 On a uniform grid the matched-kernel weights depend on the lag alone, so
 :func:`lag_convolve` applies them by zero-padded FFT in O(N log N) time
 (Hairer, Lubich and Schlichte, SIAM J. Sci. Stat. Comput. 6 (1985)).
@@ -68,6 +75,32 @@ def _cell_hat_weights(uR, uL, delta):
     return m0 - wR, wR
 
 
+def _check_grid(s, name: str) -> np.ndarray:
+    """``s`` as a float array; raises unless it is 1-d with at least two
+    finite nodes increasing strictly from s[0] = 0.  NaN fails the
+    ``diff > 0`` test and an infinite last node the ``isfinite`` one."""
+    s = np.asarray(s, dtype=float)
+    if (s.ndim != 1 or s.size < 2 or s[0] != 0.0 or not np.all(np.diff(s) > 0.0)
+            or not np.all(np.isfinite(s))):
+        raise ValueError(f"{name} must be finite and increase strictly from 0")
+    return s
+
+
+def _clip_profile(s, vals, p):
+    """Nodes of ``s`` below p with p appended, and the data (s, vals) at
+    those nodes, linearly interpolated at p."""
+    k = int(np.searchsorted(s, p * (1.0 - 1e-15)))
+    return np.append(s[:k], p), np.append(vals[:k], np.interp(p, s, vals))
+
+
+def _hat_integral(sig, v, delta: float) -> float:
+    """Integral over [sig[0], sig[-1]] of (sig[-1] - sigma)^(delta-1) times
+    the piecewise-linear data (sig, v), by exact hat-function weights."""
+    p = sig[-1]
+    wL, wR = _cell_hat_weights(p - sig[:-1], p - sig[1:], delta)
+    return float(np.sum(wL * v[:-1]) + np.sum(wR * v[1:]))
+
+
 def power_kernel_weights(s, delta: float) -> np.ndarray:
     """Lower-triangular matrix W of product-integration weights.
 
@@ -78,9 +111,7 @@ def power_kernel_weights(s, delta: float) -> np.ndarray:
     """
     if delta <= 0.0:
         raise ValueError(f"power_kernel_weights: delta must be positive, got {delta:g}")
-    s = np.asarray(s, dtype=float)
-    if s.ndim != 1 or s.size < 2 or s[0] != 0.0 or np.any(np.diff(s) <= 0.0):
-        raise ValueError("power_kernel_weights: grid must increase strictly from 0")
+    s = _check_grid(s, "power_kernel_weights: grid")
     npt = s.size
     W = np.zeros((npt, npt))
     for n in range(1, npt):
@@ -112,8 +143,7 @@ def _ml_antiderivatives(order: float, btype: float, lam, u):
 def _check_ml_kernel_args(s, order, btype):
     if order <= 0.0 or btype <= 0.0:
         raise ValueError("matched ML kernel needs positive order and btype")
-    if s.ndim != 1 or s.size < 2 or s[0] != 0.0 or np.any(np.diff(s) <= 0.0):
-        raise ValueError("grid must increase strictly from 0")
+    _check_grid(s, "matched ML kernel: grid")
 
 
 def ml_product_row(s, order: float, btype: float, lam: float) -> np.ndarray:
@@ -208,24 +238,15 @@ def power_integral_at(s, vals, delta: float, points) -> np.ndarray:
     fall between nodes.  Used for inner fractional integrals that must be
     sampled on a different (e.g. graded) grid than the data.
     """
-    s = np.asarray(s, dtype=float)
     vals = np.asarray(vals, dtype=float)
     if delta <= 0.0:
         raise ValueError("power_integral_at: delta must be positive")
-    if s.ndim != 1 or s.size < 2 or s[0] != 0.0 or np.any(np.diff(s) <= 0.0):
-        raise ValueError("power_integral_at: grid must increase strictly from 0")
+    s = _check_grid(s, "power_integral_at: grid")
     points = np.asarray(points, dtype=float)
     if np.any(points > s[-1] * (1.0 + 1e-12)):
         raise ValueError("power_integral_at: point beyond the sampled grid")
     out = np.zeros(points.shape)
     for i, p in np.ndenumerate(points):
-        if p <= 0.0:
-            continue
-        k = int(np.searchsorted(s, p * (1.0 - 1e-15)))
-        sig = np.append(s[:k], p)
-        v = np.append(vals[:k], np.interp(p, s, vals))
-        uR = p - sig[:-1]
-        uL = p - sig[1:]
-        wL, wR = _cell_hat_weights(uR, uL, delta)
-        out[i] = float(np.sum(wL * v[:-1]) + np.sum(wR * v[1:]))
+        if p > 0.0:
+            out[i] = _hat_integral(*_clip_profile(s, vals, p), delta)
     return out

@@ -32,6 +32,7 @@ import numpy as np
 from .operators import EKParams, FracParams, SampledFunction
 # bench/worker.py traces power_kernel_weights and ml_product_matrix by this module's name
 from .quadrature import (  # noqa: F401
+    _check_grid,
     lag_convolve,
     ml_lag_weights,
     ml_product_matrix,
@@ -90,17 +91,6 @@ class ScalarProblem:
 def lambda_star(fp: FracParams, lam: float) -> float:
     """Decay-rate parameter seen by the Mittag-Leffler factors: -lam/rho^alpha."""
     return -lam / fp.rho**fp.alpha
-
-
-def _check_tgrid(tgrid) -> np.ndarray:
-    tgrid = np.asarray(tgrid, dtype=float)
-    if tgrid.ndim != 1 or tgrid.size < 2:
-        raise ValueError("time grid must be 1-d with at least 2 nodes")
-    if tgrid[0] != 0.0:
-        raise ValueError("time grid must start at 0")
-    if not np.all(np.isfinite(tgrid)) or np.any(np.diff(tgrid) <= 0.0):
-        raise ValueError("time grid must be finite and strictly increasing")
-    return tgrid
 
 
 def _clock_grid(tgrid: np.ndarray, beta: float, n_min: int = 512):
@@ -162,7 +152,7 @@ def solve_scalar(prob: ScalarProblem, tgrid) -> SampledFunction:
     this one.  Runs :func:`solve_scalar_batch` with K = 1, on an internal
     uniform s-grid when ``tgrid`` is not one; u(0) = u0 exactly.
     """
-    tgrid = _check_tgrid(tgrid)
+    tgrid = _check_grid(tgrid, "time grid")
     rho = prob.fp.rho
     s, native = _clock_grid(tgrid, rho)
     t_nodes = tgrid if native else s ** (1.0 / rho)
@@ -191,7 +181,7 @@ def solve_scalar_constant(
         )
     if not (math.isfinite(lam) and math.isfinite(u0) and math.isfinite(f0)):
         raise ValueError("solve_scalar_constant: parameters must be finite")
-    tgrid = _check_tgrid(tgrid)
+    tgrid = _check_grid(tgrid, "time grid")
     s = tgrid**fp.rho
     ls = lambda_star(fp, lam)
     u = (u0 - f0 / lam) * ml_one_array(fp.alpha, ls * s**fp.alpha) + f0 / lam
@@ -221,7 +211,7 @@ def solve_second_kind(
         raise ValueError("solve_second_kind: negative weight exponent not supported")
     if not math.isfinite(lam):
         raise ValueError("solve_second_kind: lam must be finite")
-    tgrid = _check_tgrid(tgrid)
+    tgrid = _check_grid(tgrid, "time grid")
     if tgrid[-1] > f.grid[-1] * (1.0 + 1e-12):
         raise ValueError("solve_second_kind: samples do not cover the horizon")
     if lam == 0.0:

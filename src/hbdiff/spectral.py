@@ -31,6 +31,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .operators import FracParams, SampledFunction, make_time_grid
+from .quadrature import _check_grid
 from .scalar import ScalarProblem, solve_scalar, solve_scalar_batch
 from .special import sinpi_array
 # bench/worker.py's WRAPS traces these two by this module's name
@@ -94,13 +95,9 @@ class TensorForcing:
     values: np.ndarray
 
     def __post_init__(self):
-        x = np.asarray(self.xgrid, dtype=float)
-        t = np.asarray(self.tgrid, dtype=float)
+        x = _check_grid(self.xgrid, "TensorForcing: xgrid")
+        t = _check_grid(self.tgrid, "TensorForcing: tgrid")
         v = np.asarray(self.values, dtype=float)
-        if x.ndim != 1 or x.size < 2 or x[0] != 0.0 or np.any(np.diff(x) <= 0.0):
-            raise ValueError("TensorForcing: xgrid must increase strictly from 0")
-        if t.ndim != 1 or t.size < 2 or t[0] != 0.0 or np.any(np.diff(t) <= 0.0):
-            raise ValueError("TensorForcing: tgrid must increase strictly from 0")
         if v.shape != (t.size, x.size):
             raise ValueError("TensorForcing: values must have shape (len(tgrid), len(xgrid))")
         if not np.all(np.isfinite(v)):

@@ -22,8 +22,8 @@ from .operators import (
     make_time_grid,
     reg_caputo_on_grid,
 )
-from .quadrature import power_kernel_weights
-from .scalar import ScalarProblem, _check_tgrid, _forcing_samples, lambda_star, solve_scalar
+from .quadrature import _check_grid, power_kernel_weights
+from .scalar import ScalarProblem, _forcing_samples, lambda_star, solve_scalar
 from .special import gamma, ml_one_array
 from .spectral import (
     DirectProblemSpec,
@@ -111,7 +111,7 @@ def volterra_oracle(prob: ScalarProblem, tgrid, internal: int | None = None) -> 
     interpolated back; derivation and stepping are independent of the
     resolvent formula used by solve_scalar.
     """
-    tgrid = _check_tgrid(tgrid)
+    tgrid = _check_grid(tgrid, "time grid")
     fp = prob.fp
     alpha = fp.alpha
     ls = lambda_star(prob.fp, prob.lam)
@@ -159,7 +159,7 @@ def l1_caputo_solve(alpha: float, lam: float, u0: float, tgrid, internal: int = 
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("l1_caputo_solve: alpha must lie in (0, 1)")
-    tgrid = _check_tgrid(tgrid)
+    tgrid = _check_grid(tgrid, "time grid")
     T = tgrid[-1]
     r = (2.0 - alpha) / alpha
     t = T * (np.arange(internal + 1) / internal) ** r
@@ -185,7 +185,7 @@ def reduction_theta_zero(alpha: float, lam: float, tgrid, tol: float = 1e-10) ->
     """At theta = 0 the weighted construction collapses to the classical
     fractional derivative, so the scalar solver must reproduce the pure
     relaxation trace computed directly from the Mittag-Leffler function."""
-    tgrid = _check_tgrid(tgrid)
+    tgrid = _check_grid(tgrid, "time grid")
     fp = FracParams(alpha, 0.0)
     u = solve_scalar(ScalarProblem(fp, lam, 1.0), tgrid)
     want = ml_one_array(alpha, -lam * tgrid**alpha)

@@ -9,6 +9,7 @@ refinement order).
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -311,3 +312,66 @@ def test_reg_caputo_on_grid_matches_pointwise():
     assert out[0] == 0.0
     for n in (1, 17, 64, 128):
         assert_allclose(out[n], reg_caputo_hb(f, fp, grid[n]), rtol=1e-11, atol=1e-13)
+
+
+def test_reg_caputo_on_grid_with_deriv_matches_pointwise():
+    fp = FracParams(0.45, 0.3)
+    grid = make_time_grid(1.0, 128, fp.rho)
+    f = SampledFunction(grid, np.exp(-grid) * grid, deriv=np.exp(-grid) * (1.0 - grid))
+    out = reg_caputo_on_grid(f, fp)
+    assert out[0] == 0.0
+    for n in (1, 17, 64, 128):
+        assert_allclose(out[n], reg_caputo_hb(f, fp, grid[n]), rtol=1e-11, atol=1e-13)
+
+
+def _grid_end_draws(seed, count):
+    # 20-node random grids on [0, 3] whose last node's power differs by
+    # rounding between float ** and numpy's array **
+    rng = np.random.default_rng(seed)
+    draws = []
+    while len(draws) < count:
+        grid = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 3.0, 19))])
+        beta, delta = rng.uniform(0.1, 3.0), rng.uniform(0.05, 0.95)
+        if float(grid[-1]) ** beta != (grid**beta)[-1]:
+            draws.append((grid, beta, delta))
+    return draws
+
+
+def test_ek_integral_exact_at_grid_end():
+    for grid, beta, delta in _grid_end_draws(1, 60):
+        f = SampledFunction(grid, np.ones_like(grid))
+        got = ek_integral(f, EKParams(beta, 0.0, delta), float(grid[-1]))
+        assert_allclose(got, 1.0 / gamma(delta + 1.0), rtol=1e-13)
+
+
+def test_reg_caputo_pointwise_matches_grid_at_grid_end():
+    for grid, beta, delta in _grid_end_draws(2, 6):
+        fp = FracParams(delta, 1.0 - beta)
+        f = SampledFunction(grid, np.exp(-grid) * grid)
+        want = reg_caputo_on_grid(f, fp)[-1]
+        assert_allclose(reg_caputo_hb(f, fp, float(grid[-1])), want, rtol=1e-11, atol=1e-13)
+
+
+def test_reg_caputo_on_grid_collapsed_sigma_cell_is_finite():
+    # theta = 0.99 maps 1 and 1 + 4e-16 to the same sigma = t^0.01
+    grid = np.array([0.0, 0.5, 1.0, 1.0 + 4e-16, 1.5])
+    fp = FracParams(0.5, 0.99)
+    assert (grid**fp.rho)[2] == (grid**fp.rho)[3]
+    with np.errstate(all="raise"):
+        out = reg_caputo_on_grid(SampledFunction(grid, np.sin(grid) + grid), fp)
+    assert np.all(np.isfinite(out))
+    assert out[2] == out[3]
+
+
+def test_grid_operators_stay_linear_in_memory():
+    grid = make_time_grid(1.0, 1024, 0.7)
+    f = SampledFunction(grid, np.cos(grid))
+    for run in (lambda: ek_integral_on_grid(f, EKParams(0.7, 0.4, 0.6)),
+                lambda: reg_caputo_on_grid(f, FracParams(0.4, 0.3))):
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000  # one 1025 x 1025 float array takes 8.4 MB

@@ -23,7 +23,10 @@ from hbdiff.quadrature import (
     power_integral_at,
     power_kernel_weights,
 )
+from hbdiff.operators import FracParams, SampledFunction
+from hbdiff.scalar import ScalarProblem, solve_scalar
 from hbdiff.special import MLParams, ml_one, ml_two
+from hbdiff.spectral import TensorForcing
 
 
 def kernel_quad_oracle(s_n, delta, fn, dps=40):
@@ -205,3 +208,21 @@ def test_power_integral_at_rejects_outside_point():
     s = np.linspace(0.0, 1.0, 9)
     with pytest.raises(ValueError):
         power_integral_at(s, s, 0.5, [1.5])
+
+
+NAN_GRID_BUILDERS = {
+    "power_kernel_weights": lambda g: power_kernel_weights(g, 0.5),
+    "power_integral_at": lambda g: power_integral_at(g, np.ones(3), 0.5, [0.5]),
+    "matched ML kernel": lambda g: ml_product_row(g, 0.5, 0.5, -1.0),
+    "SampledFunction": lambda g: SampledFunction(g, np.ones(3)),
+    "time grid": lambda g: solve_scalar(ScalarProblem(FracParams(0.5, 0.0), 1.0, 1.0), g),
+    "TensorForcing: xgrid": lambda g: TensorForcing(g, [0.0, 1.0], np.zeros((2, 3))),
+    "TensorForcing: tgrid": lambda g: TensorForcing([0.0, 1.0], g, np.zeros((3, 2))),
+}
+
+
+@pytest.mark.parametrize("name", list(NAN_GRID_BUILDERS))
+def test_nan_grid_is_rejected(name):
+    # NaN fails no "diff <= 0" test; the shared grid check names each caller
+    with pytest.raises(ValueError, match=name):
+        NAN_GRID_BUILDERS[name](np.array([0.0, np.nan, 1.0]))
