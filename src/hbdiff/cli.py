@@ -150,7 +150,7 @@ def _load_samples(path: str) -> SampledFunction:
 
 
 def _profile(entry: str, xgrid: np.ndarray, base_dir: str) -> SampledFunction:
-    """A spatial profile from an expression or a file: reference."""
+    """A spatial profile on ``xgrid`` from an x-expression or a file: table."""
     entry = entry.strip()
     if entry.startswith("file:"):
         f = _load_samples(os.path.join(base_dir, entry[5:].strip()))
@@ -166,15 +166,9 @@ def _forcing(entry: str, xgrid: np.ndarray, tgrid: np.ndarray, base_dir: str):
     entry = entry.strip()
     if entry in ("", "zero", "0"):
         return None
-    if entry.startswith("file:"):
-        f = _load_samples(os.path.join(base_dir, entry[5:].strip()))
-        return SeparableForcing(
-            SampledFunction(xgrid, np.interp(xgrid, f.grid, f.values))
-        )
-    expr = Expression(entry)
-    if "t" not in expr.used:
-        vals = np.broadcast_to(np.asarray(expr(x=xgrid), dtype=float), xgrid.shape)
-        return SeparableForcing(SampledFunction(xgrid, np.array(vals, dtype=float)))
+    expr = None if entry.startswith("file:") else Expression(entry)
+    if expr is None or "t" not in expr.used:
+        return SeparableForcing(_profile(entry, xgrid, base_dir))
     X = xgrid[None, :]
     T = tgrid[:, None]
     vals = np.asarray(expr(x=X, t=T), dtype=float)
@@ -223,6 +217,18 @@ def _domain(cp: configparser.ConfigParser):
     return horizon, modes, nx, nt
 
 
+def _load_spec(path: str, section: str, needs: str):
+    """The parsed spec file, its directory, its operator, its [domain]
+    (T, K, nx, nt) and the x grid; raises unless it has ``section``."""
+    cp = _read_spec(path)
+    spec_dir = os.path.dirname(os.path.abspath(path))
+    fp = _operator_params(cp)
+    domain = _domain(cp)
+    if not cp.has_section(section):
+        raise ValueError(f"spec file needs {needs}")
+    return cp, spec_dir, fp, domain, np.linspace(0.0, 1.0, domain[2] + 1)
+
+
 def _out_dir(cp: configparser.ConfigParser, spec_dir: str) -> str:
     fmt = cp.get("output", "format", fallback="csv").strip().lower()
     if fmt != "csv":
@@ -240,6 +246,12 @@ def _write_csv(path: str, header: str, columns) -> None:
         fh.write(header + "\n")
         for row in np.column_stack(columns):
             fh.write(",".join(map(_fmt, row.tolist())) + "\n")
+
+
+def _write_field(out: str, field) -> None:
+    """u_grid.csv: the x nodes across, then one row t, u(x, t) per time."""
+    header = "x\\t," + ",".join(map(_fmt, field.xgrid))
+    _write_csv(os.path.join(out, "u_grid.csv"), header, (field.tgrid, field.values))
 
 
 def _write_jsonl(path: str, records) -> None:
@@ -266,13 +278,8 @@ def _cmd_ml(args) -> int:
 
 
 def _cmd_direct(args) -> int:
-    cp = _read_spec(args.spec)
-    spec_dir = os.path.dirname(os.path.abspath(args.spec))
-    fp = _operator_params(cp)
-    horizon, modes, nx, nt = _domain(cp)
-    if not cp.has_section("direct"):
-        raise ValueError("spec file needs a [direct] section with psi")
-    xgrid = np.linspace(0.0, 1.0, nx + 1)
+    cp, spec_dir, fp, (horizon, modes, nx, nt), xgrid = _load_spec(
+        args.spec, "direct", "a [direct] section with psi")
     tgrid = make_time_grid(horizon, nt, fp.rho)
     psi = _profile(cp.get("direct", "psi"), xgrid, spec_dir)
     forcing = _forcing(cp.get("direct", "forcing", fallback="zero"), xgrid, tgrid, spec_dir)
@@ -281,8 +288,7 @@ def _cmd_direct(args) -> int:
     )
     sol = solve_direct(spec)
     out = _out_dir(cp, spec_dir)
-    header = "x\\t," + ",".join(map(_fmt, sol.xgrid))
-    _write_csv(os.path.join(out, "u_grid.csv"), header, (sol.tgrid, sol.values))
+    _write_field(out, sol)
     header = "t," + ",".join(f"u_{k}" for k in range(1, modes + 1))
     _write_csv(os.path.join(out, "mode_traces.csv"), header, (sol.tgrid, sol.modes.T))
     _write_jsonl(
@@ -304,22 +310,16 @@ def _cmd_direct(args) -> int:
 
 
 def _cmd_inverse(args) -> int:
-    cp = _read_spec(args.spec)
-    spec_dir = os.path.dirname(os.path.abspath(args.spec))
-    fp = _operator_params(cp)
-    horizon, modes, nx, nt = _domain(cp)
-    if not cp.has_section("inverse"):
-        raise ValueError("spec file needs an [inverse] section with psi and phi")
+    cp, spec_dir, fp, (horizon, modes, nx, nt), xgrid = _load_spec(
+        args.spec, "inverse", "an [inverse] section with psi and phi")
     if cp.has_option("inverse", "T"):
         horizon = cp.getfloat("inverse", "T")
-    xgrid = np.linspace(0.0, 1.0, nx + 1)
     psi = _profile(cp.get("inverse", "psi"), xgrid, spec_dir)
     phi = _profile(cp.get("inverse", "phi"), xgrid, spec_dir)
     spec = InverseProblemSpec(fp, psi, phi, horizon, modes=modes, nx=nx, nt=nt)
     res = solve_inverse(spec)
     out = _out_dir(cp, spec_dir)
-    header = "x\\t," + ",".join(map(_fmt, res.u.xgrid))
-    _write_csv(os.path.join(out, "u_grid.csv"), header, (res.u.tgrid, res.u.values))
+    _write_field(out, res.u)
     source = reconstruct_source_field(res, xgrid)
     _write_csv(os.path.join(out, "source.csv"), "x,f", (source.grid, source.values))
     _write_csv(

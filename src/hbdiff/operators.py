@@ -39,7 +39,9 @@ piecewise-constant slopes, or the second from a derivative channel, with
 no cusp to cancel.  :func:`hyper_bessel` and :func:`reg_caputo_hb` keep
 the Erdelyi-Kober definition, so the two derivations check each other.
 Every hat-weight integral here, and the clipping of the sigma nodes at
-the upper limit, is :mod:`hbdiff.quadrature`'s shared rule.
+the upper limit, is :mod:`hbdiff.quadrature`'s shared rule.  Only the
+first form's slope sum keeps its own cell moments: on thin cells they
+stay more accurate than hat weights.
 """
 
 from __future__ import annotations
@@ -177,16 +179,6 @@ def _sigma_profile(f: SampledFunction, beta: float, t: float):
     return _clip_profile(sig_full, f.values, min(S, float(sig_full[-1])))
 
 
-def _raw_affine(sig, a, b, S, delta):
-    """Integral of (S-sigma)^(delta-1) * (a_j + b_j sigma) with per-cell
-    affine data."""
-    uR = S - sig[:-1]
-    uL = S - sig[1:]
-    m0 = _pow_diff(uR, uL, delta) / delta
-    msig = S * m0 - _pow_diff(uR, uL, delta + 1.0) / (delta + 1.0)
-    return float(np.sum(a * m0) + np.sum(b * msig))
-
-
 def _exact_first_cell(raw, s1, f0, f1, S, delta, gw):
     """``raw``, the nodal hat-weight integral of sigma^gw f up to each upper
     limit in ``S``, with its first cell [0, s1] replaced by the integral of
@@ -242,7 +234,8 @@ def ek_integral(f: SampledFunction, p: EKParams, t: float) -> float:
         raise ValueError("ek_integral: gamma_w must exceed -1 for integrability")
     sig, vals = _sigma_profile(f, p.beta, t)
     S = sig[-1]
-    raw = _hat_integral(sig, _weighted_data(sig, vals, gw), p.delta)
+    g = _weighted_data(sig, vals, gw)
+    raw = _hat_integral(sig, g[:-1], g[1:], p.delta)
     if gw != 0.0:
         raw = float(_exact_first_cell(raw, sig[1], vals[0], vals[1], S, p.delta, gw))
     return S ** (-(gw + p.delta)) / gamma(p.delta) * raw
@@ -265,26 +258,20 @@ def ek_integrodiff(f: SampledFunction, p: EKParams, t: float) -> float:
         tfp = SampledFunction(f.grid, f.grid * f.deriv)
         term2 = ek_integral(tfp, p_up, t) / p.beta
         return term1 + term2
-    # tau f' = beta * sigma * (d f / d sigma): per-cell affine in sigma,
-    # carrying sigma^gamma_w nodally via its own linear interpolant
+    # tau f' = beta * sigma * (d f / d sigma): the data sigma^gamma_w *
+    # sigma * slope is affine on each cell through the nodal sigma^(gw+1)
     sigS, _ = _sigma_profile(f, p.beta, t)
     S = sigS[-1]
     ncell = sigS.size - 1
     # kept nodes are a prefix of the grid, so cell j inherits slope j; the
-    # clipped last cell lies inside original cell ncell-1
-    cell_slope = np.diff(f.values)[:ncell] / np.diff(f.grid**p.beta)[:ncell]
-    gw = p.gamma_w
-    if gw == 0.0:
-        a = np.zeros(ncell)
-        b = cell_slope
-    else:
-        # data sigma^gw * sigma * slope: interpolate sigma^(gw+1) nodally
-        pw = sigS ** (gw + 1.0)
-        h = np.diff(sigS)
-        b = cell_slope * np.diff(pw) / h
-        a = cell_slope * (pw[:-1] * sigS[1:] - pw[1:] * sigS[:-1]) / h
-    raw = _raw_affine(sigS, a, b, S, p_up.delta)
-    term2 = S ** (-(gw + p_up.delta)) / gamma(p_up.delta) * raw
+    # clipped last cell lies inside original cell ncell-1.  A cell that
+    # rounding collapsed in sigma carries no mass and gets slope 0.
+    dv = np.diff(f.values)[:ncell]
+    dsig = np.diff(f.grid**p.beta)[:ncell]
+    slope = np.divide(dv, dsig, out=np.zeros(ncell), where=dsig > 0.0)
+    pw = sigS ** (p.gamma_w + 1.0)
+    raw = _hat_integral(sigS, slope * pw[:-1], slope * pw[1:], p_up.delta)
+    term2 = S ** (-(p.gamma_w + p_up.delta)) / gamma(p_up.delta) * raw
     return term1 + term2
 
 
@@ -301,7 +288,8 @@ def ek_integral_on_grid(f: SampledFunction, p: EKParams) -> np.ndarray:
         raise ValueError("ek_integral_on_grid: gamma_w must exceed -1")
     sig = f.grid**p.beta
     g = _weighted_data(sig, f.values, gw)
-    raw = np.array([_hat_integral(sig[: n + 1], g[: n + 1], p.delta) for n in range(1, sig.size)])
+    raw = np.array([_hat_integral(sig[: n + 1], g[:n], g[1 : n + 1], p.delta)
+                    for n in range(1, sig.size)])
     if gw != 0.0:
         raw = _exact_first_cell(raw, sig[1], f.values[0], f.values[1], sig[1:], p.delta, gw)
     out = np.empty(sig.size)
@@ -345,7 +333,7 @@ def reg_caputo_on_grid(f: SampledFunction, fp: FracParams) -> np.ndarray:
     if f.deriv is not None:
         g = (1.0 - alpha) * (f.values - f.values[0]) + f.grid * f.deriv / rho
         for n in range(1, sig.size):
-            out[n] = _hat_integral(sig[: n + 1], g[: n + 1], 1.0 - alpha) / sig[n]
+            out[n] = _hat_integral(sig[: n + 1], g[:n], g[1 : n + 1], 1.0 - alpha) / sig[n]
         return rho**alpha / gamma(1.0 - alpha) * out
     dv = np.diff(f.values)
     for n in range(1, sig.size):

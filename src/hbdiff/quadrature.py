@@ -9,12 +9,12 @@ u^(b-1) E_{a,b}(lam u^a) via its closed-form antiderivative, again a
 single Mittag-Leffler term.  The only discretization error left is the
 linear interpolation of the data being convolved.
 
-The pure power-kernel rule has one home: :func:`_clip_profile` cuts the
-data at an upper limit p (the nodes below p, then p itself) and
-:func:`_hat_integral` integrates the kernel with upper limit sig[-1]
-against the hat functions.  :func:`power_integral_at` and the
-Erdelyi-Kober integrals of :mod:`hbdiff.operators` are built on these
-two; every grid they take passes the one check :func:`_check_grid`.
+The grid rules have one home here: :func:`_check_grid` (finite, rising
+from 0), :func:`_uniform_step` (the solvers' one test of a uniform clock
+s = t^rho), :func:`_clip_profile` (the nodes below an upper limit p, then
+p) and :func:`_hat_integral` (the power kernel with upper limit sig[-1]
+against data affine on each cell, by exact hat-function moments).
+:func:`power_integral_at` and :mod:`hbdiff.operators` build on them.
 
 On a uniform grid the matched-kernel weights depend on the lag alone, so
 :func:`lag_convolve` applies them by zero-padded FFT in O(N log N) time
@@ -86,6 +86,15 @@ def _check_grid(s, name: str) -> np.ndarray:
     return s
 
 
+def _uniform_step(s):
+    """The step h = s[1] - s[0] of the grid ``s`` when every step equals it
+    to rtol 1e-9 and atol 1e-13 |s[-1]|, else None.  Every
+    :func:`hbdiff.operators.make_time_grid` clock passes, also when it is
+    recomputed from times printed to 12 significant digits."""
+    h = s[1] - s[0]
+    return h if np.allclose(np.diff(s), h, rtol=1e-9, atol=1e-13 * abs(s[-1])) else None
+
+
 def _clip_profile(s, vals, p):
     """Nodes of ``s`` below p with p appended, and the data (s, vals) at
     those nodes, linearly interpolated at p."""
@@ -93,12 +102,14 @@ def _clip_profile(s, vals, p):
     return np.append(s[:k], p), np.append(vals[:k], np.interp(p, s, vals))
 
 
-def _hat_integral(sig, v, delta: float) -> float:
+def _hat_integral(sig, vL, vR, delta: float) -> float:
     """Integral over [sig[0], sig[-1]] of (sig[-1] - sigma)^(delta-1) times
-    the piecewise-linear data (sig, v), by exact hat-function weights."""
+    data affine on each cell [sig[j], sig[j+1]], with end values vL[j] and
+    vR[j], by exact hat-function weights.  Continuous data v passes
+    v[:-1], v[1:]."""
     p = sig[-1]
     wL, wR = _cell_hat_weights(p - sig[:-1], p - sig[1:], delta)
-    return float(np.sum(wL * v[:-1]) + np.sum(wR * v[1:]))
+    return float(np.sum(wL * vL) + np.sum(wR * vR))
 
 
 def power_kernel_weights(s, delta: float) -> np.ndarray:
@@ -186,8 +197,8 @@ def ml_lag_weights(s, order: float, btype: float, lams):
     """
     s = np.asarray(s, dtype=float)
     _check_ml_kernel_args(s, order, btype)
-    h = s[1] - s[0]
-    if not np.allclose(np.diff(s), h, rtol=1e-12, atol=1e-15 * max(abs(s[-1]), 1.0)):
+    h = _uniform_step(s)
+    if h is None:
         raise ValueError("matched ML lag weights: grid must be uniform")
     lags = np.arange(s.size, dtype=float) * h
     j0, j1 = _ml_antiderivatives(order, btype, np.reshape(lams, (-1, 1)), lags)
@@ -248,5 +259,6 @@ def power_integral_at(s, vals, delta: float, points) -> np.ndarray:
     out = np.zeros(points.shape)
     for i, p in np.ndenumerate(points):
         if p > 0.0:
-            out[i] = _hat_integral(*_clip_profile(s, vals, p), delta)
+            sig, v = _clip_profile(s, vals, p)
+            out[i] = _hat_integral(sig, v[:-1], v[1:], delta)
     return out

@@ -13,7 +13,8 @@ matched kernel u^(alpha-1) E_{alpha,alpha}(ls u^alpha).  The convolution
 uses the exact-moment lag weights of :mod:`hbdiff.quadrature` on a grid
 uniform in s, applied by FFT to many problems at once, so the computed
 solution is exact (to rounding and evaluator accuracy) for the
-piecewise-linear interpolant of the forcing samples.
+piecewise-linear interpolant of the forcing samples.  :func:`solve_scalar`
+and :func:`solve_second_kind` share one clock path, :func:`_on_clock`.
 
 Also provided: the explicit resolvent solution of the second-kind
 integral equation with the weighted fractional integral, and an
@@ -33,6 +34,7 @@ from .operators import EKParams, FracParams, SampledFunction
 # bench/worker.py traces power_kernel_weights and ml_product_matrix by this module's name
 from .quadrature import (  # noqa: F401
     _check_grid,
+    _uniform_step,
     lag_convolve,
     ml_lag_weights,
     ml_product_matrix,
@@ -93,19 +95,19 @@ def lambda_star(fp: FracParams, lam: float) -> float:
     return -lam / fp.rho**fp.alpha
 
 
-def _clock_grid(tgrid: np.ndarray, beta: float, n_min: int = 512):
-    """Quadrature grid uniform in the stretched clock s = t^beta.
+def _on_clock(tgrid: np.ndarray, beta: float, solve) -> np.ndarray:
+    """``solve(t_nodes, s)`` on nodes uniform in the clock s = t^beta.
 
-    Always uniform: the requested grid's own clock when it already is
-    uniform in s, otherwise an internal uniform grid that the caller must
-    interpolate back from.  Returns (s, native).
+    The nodes are ``tgrid`` itself when its clock is uniform
+    (:func:`hbdiff.quadrature._uniform_step`); otherwise an internal
+    uniform grid of max(512, 4 (len(tgrid) - 1)) cells, whose result is
+    interpolated back to ``tgrid`` in s.
     """
-    s_req = tgrid**beta
-    ds = np.diff(s_req)
-    if np.allclose(ds, ds[0], rtol=1e-9, atol=1e-13 * s_req[-1]):
-        return s_req, True
-    n = max(n_min, 4 * (tgrid.size - 1))
-    return np.linspace(0.0, s_req[-1], n + 1), False
+    s = tgrid**beta
+    if _uniform_step(s) is not None:
+        return solve(tgrid, s)
+    s_int = np.linspace(0.0, s[-1], max(512, 4 * (tgrid.size - 1)) + 1)
+    return np.interp(s, s_int, solve(s_int ** (1.0 / beta), s_int))
 
 
 def _forcing_samples(forcing, t_nodes: np.ndarray):
@@ -149,18 +151,16 @@ def solve_scalar(prob: ScalarProblem, tgrid) -> SampledFunction:
 
     with s = t^rho and ls = -lam/rho^a.  E_{a,a}(z) = 1/Gamma(a) +
     z E_{a,2a}(z) merges the power kernel and the E_{a,2a} kernel into
-    this one.  Runs :func:`solve_scalar_batch` with K = 1, on an internal
-    uniform s-grid when ``tgrid`` is not one; u(0) = u0 exactly.
+    this one.  Runs :func:`solve_scalar_batch` with K = 1 on the clock
+    path of :func:`_on_clock`; u(0) = u0 exactly.
     """
     tgrid = _check_grid(tgrid, "time grid")
-    rho = prob.fp.rho
-    s, native = _clock_grid(tgrid, rho)
-    t_nodes = tgrid if native else s ** (1.0 / rho)
-    fvals = _forcing_samples(prob.forcing, t_nodes)
-    u = solve_scalar_batch(prob.fp, [prob.lam], [prob.u0], t_nodes, fvals)[0]
-    if not native:
-        u = np.interp(tgrid**rho, s, u)
-    return SampledFunction(tgrid, u)
+
+    def solve(t_nodes, s):
+        fvals = _forcing_samples(prob.forcing, t_nodes)
+        return solve_scalar_batch(prob.fp, [prob.lam], [prob.u0], t_nodes, fvals)[0]
+
+    return SampledFunction(tgrid, _on_clock(tgrid, prob.fp.rho, solve))
 
 
 def solve_scalar_constant(
@@ -216,19 +216,16 @@ def solve_second_kind(
         raise ValueError("solve_second_kind: samples do not cover the horizon")
     if lam == 0.0:
         return SampledFunction(tgrid, np.interp(tgrid, f.grid, f.values))
-    sig, native = _clock_grid(tgrid, p.beta)
-    t_nodes = tgrid if native else sig ** (1.0 / p.beta)
-    fvals = np.interp(t_nodes, f.grid, f.values)
 
-    # sig**0 == 1 exactly, so gamma_w = 0 needs no branch
-    conv = lag_convolve(*ml_lag_weights(sig, p.delta, p.delta, [lam]), sig**p.gamma_w * fvals)[0]
-    y = fvals.copy()
-    y[1:] += lam * sig[1:] ** (-p.gamma_w) * conv[1:]
-    if not native:
-        y0 = y[0]
-        y = np.interp(tgrid**p.beta, sig, y)
-        y[0] = y0
-    return SampledFunction(tgrid, y)
+    def solve(t_nodes, sig):
+        fvals = np.interp(t_nodes, f.grid, f.values)
+        far, near = ml_lag_weights(sig, p.delta, p.delta, [lam])
+        # sig**0 == 1 exactly, so gamma_w = 0 needs no branch
+        conv = lag_convolve(far, near, sig**p.gamma_w * fvals)[0]
+        fvals[1:] += lam * sig[1:] ** (-p.gamma_w) * conv[1:]
+        return fvals
+
+    return SampledFunction(tgrid, _on_clock(tgrid, p.beta, solve))
 
 
 def prabhakar_compose(

@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .operators import FracParams, SampledFunction, make_time_grid
-from .quadrature import _check_grid
+from .quadrature import _check_grid, _uniform_step
 from .scalar import ScalarProblem, solve_scalar, solve_scalar_batch
 from .special import sinpi_array
 # bench/worker.py's WRAPS traces these two by this module's name
@@ -111,8 +111,7 @@ def _require_unit_uniform(grid: np.ndarray, what: str) -> float:
     """Validate a uniform grid spanning [0, 1]; return its spacing."""
     if abs(grid[-1] - 1.0) > 1e-12:
         raise ValueError(f"{what}: grid must span [0, 1]")
-    h = np.diff(grid)
-    if h.size < 2 or not np.allclose(h, h[0], rtol=1e-9, atol=0.0):
+    if grid.size < 3 or _uniform_step(grid) is None:
         raise ValueError(f"{what}: grid must be uniform")
     return 1.0 / (grid.size - 1)
 

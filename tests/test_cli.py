@@ -13,7 +13,13 @@ from hbdiff.cli import Expression, _fmt, _write_csv, main
 from hbdiff.inverse import InverseProblemSpec, solve_inverse
 from hbdiff.operators import FracParams, SampledFunction, make_time_grid
 from hbdiff.special import MLParams, ml_two
-from hbdiff.spectral import DirectProblemSpec, SeparableForcing, sine_analyze, solve_direct
+from hbdiff.spectral import (
+    DirectProblemSpec,
+    SeparableForcing,
+    TensorForcing,
+    sine_analyze,
+    solve_direct,
+)
 
 
 SPEC = """\
@@ -157,6 +163,28 @@ class TestDirectCommand:
         assert main(["direct", str(spec)]) == 0
         _, _, vals = read_grid_csv(tmp_path / "outz" / "u_grid.csv")
         assert_array_equal(vals, np.zeros_like(vals))
+
+    def test_steep_clock_grid_solves_like_library(self, tmp_path):
+        # theta = -2 stretches the clock to s = t^3 up to 1e12, where
+        # make_time_grid's steps differ by up to 5.5e-12 of the step
+        spec = tmp_path / "steep.ini"
+        spec.write_text(
+            "[operator]\nalpha = 0.6\ntheta = -2\n"
+            "[domain]\nT = 1e4\nK = 4\nnx = 32\nnt = 4096\n"
+            "[direct]\npsi = sin(pi*x)\nforcing = x*(1-x)*(1+t)\n"
+            "[output]\ndir = outs\n"
+        )
+        assert main(["direct", str(spec)]) == 0
+        rows = np.loadtxt(tmp_path / "outs" / "mode_traces.csv", delimiter=",", skiprows=1)
+        fp = FracParams(0.6, -2.0)
+        x = np.linspace(0.0, 1.0, 33)
+        t = make_time_grid(1e4, 4096, fp.rho)
+        X, T = x[None, :], t[:, None]
+        forcing = TensorForcing(x, t, X * (1 - X) * (1 + T))
+        psi = SampledFunction(x, np.sin(np.pi * x))
+        sol = solve_direct(DirectProblemSpec(fp, psi, forcing, horizon=1e4, modes=4, nx=32, nt=4096))
+        assert_array_equal(rows[:, 0], t)
+        assert_array_equal(rows[:, 1:], sol.modes.T)
 
     def test_profile_from_sample_file(self, tmp_path):
         x = np.linspace(0.0, 1.0, 33)

@@ -11,6 +11,7 @@ refinement order).
 import math
 import tracemalloc
 
+import mpmath as mp
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -357,10 +358,52 @@ def test_reg_caputo_on_grid_collapsed_sigma_cell_is_finite():
     grid = np.array([0.0, 0.5, 1.0, 1.0 + 4e-16, 1.5])
     fp = FracParams(0.5, 0.99)
     assert (grid**fp.rho)[2] == (grid**fp.rho)[3]
+    f = SampledFunction(grid, np.sin(grid) + grid)
     with np.errstate(all="raise"):
-        out = reg_caputo_on_grid(SampledFunction(grid, np.sin(grid) + grid), fp)
+        out = reg_caputo_on_grid(f, fp)
+        pointwise = [reg_caputo_hb(f, fp, t) for t in grid[1:]]
     assert np.all(np.isfinite(out))
     assert out[2] == out[3]
+    assert np.all(np.isfinite(pointwise))
+    assert_allclose(pointwise, out[1:], rtol=1e-11, atol=1e-13)
+
+
+def _slope_term_reference(f, p, t):
+    """ek_integrodiff's slope term at 40 digits: the data slope_j *
+    sigma^(gamma_w+1), interpolated linearly on each sigma cell below
+    S = t^beta, integrated exactly against (S - sigma)^delta."""
+    with mp.workdps(40):
+        d, gw = mp.mpf(p.delta) + 1, mp.mpf(p.gamma_w)
+        sig = [mp.mpf(float(v)) for v in f.grid**p.beta]
+        S = min(mp.mpf(float(t**p.beta)), sig[-1])
+        nodes = [v for v in sig if v < S] + [S]
+        total = mp.mpf(0)
+        for j in range(len(nodes) - 1):
+            a, b = nodes[j], nodes[j + 1]
+            slope = (mp.mpf(float(f.values[j + 1])) - mp.mpf(float(f.values[j]))) / (sig[j + 1] - sig[j])
+            B = slope * (b ** (gw + 1) - a ** (gw + 1)) / (b - a)
+            A = slope * a ** (gw + 1) - B * a
+            uR, uL = S - a, S - b
+            total += (A + B * S) * (uR**d - uL**d) / d - B * (uR ** (d + 1) - uL ** (d + 1)) / (d + 1)
+        return float(S ** (-(gw + d)) / mp.gamma(d) * total)
+
+
+def test_ek_integrodiff_slopes_match_exact_cell_moments():
+    # 18-node random grids with six thin cells (relative width 1e-9..1e-4),
+    # where moments formed as differences of large terms lose digits
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        base = rng.uniform(0.0, 3.0, 12)
+        thin = base[:6] * (1.0 + 10.0 ** rng.uniform(-9.0, -4.0, 6))
+        grid = np.concatenate([[0.0], np.sort(np.concatenate([base, thin]))])
+        f = SampledFunction(grid, np.sin(2.0 * grid) + grid)
+        for gw in (0.0, -0.4, 0.7):
+            p = EKParams(rng.uniform(0.2, 2.5), gw, -rng.uniform(0.1, 0.9))
+            for t in (float(rng.uniform(0.2, grid[-1])), float(grid[-1])):
+                term1 = (gw + p.delta + 1.0) * ek_integral(f, EKParams(p.beta, gw, p.delta + 1.0), t)
+                term2 = _slope_term_reference(f, p, t)
+                err = abs(ek_integrodiff(f, p, t) - term1 - term2)
+                assert err <= 1e-13 * max(abs(term1), abs(term2)), (seed, gw, t)
 
 
 def test_grid_operators_stay_linear_in_memory():

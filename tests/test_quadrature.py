@@ -16,6 +16,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from hbdiff.quadrature import (
+    _uniform_step,
     lag_convolve,
     ml_lag_weights,
     ml_product_matrix,
@@ -23,7 +24,7 @@ from hbdiff.quadrature import (
     power_integral_at,
     power_kernel_weights,
 )
-from hbdiff.operators import FracParams, SampledFunction
+from hbdiff.operators import FracParams, SampledFunction, make_time_grid
 from hbdiff.scalar import ScalarProblem, solve_scalar
 from hbdiff.special import MLParams, ml_one, ml_two
 from hbdiff.spectral import TensorForcing
@@ -165,6 +166,16 @@ def test_lag_convolve_matches_dense_rows():
             want = K @ data
             assert got[0] == 0.0
             assert_allclose(got, want, rtol=0, atol=1e-14 * np.max(np.abs(want)))
+
+
+def test_uniform_step_accepts_every_time_grid_clock():
+    # every solver meets make_time_grid's clock s = t^rho; builds grids only
+    for horizon in np.logspace(-3.0, 4.0, 8):
+        for rho in (0.05, 0.1, 0.3, 0.7, 1.0, 1.5, 3.0, 5.0):
+            for nt in (1, 2, 7, 64, 512, 4096, 65536):
+                s = make_time_grid(horizon, nt, rho) ** rho
+                assert _uniform_step(s) == s[1] - s[0], (horizon, rho, nt)
+    assert _uniform_step(np.linspace(0.0, 1.0, 9) ** 2) is None
 
 
 def test_cli_import_leaves_numpy_fft_out():

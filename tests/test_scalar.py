@@ -112,6 +112,19 @@ def test_solve_scalar_interpolates_on_non_stretched_grids():
     assert_allclose(u.values, want, rtol=0, atol=2e-6)
 
 
+def test_solvers_accept_clock_grid_printed_to_12_digits():
+    # times written to 12 significant digits keep a clock uniform to 1e-9
+    tgrid = make_time_grid(1.0, 512, 0.7)
+    printed = np.array([float(f"{v:.11e}") for v in tgrid])
+    assert np.any(printed != tgrid)
+    fine = np.linspace(0.0, 1.0, 4097)
+    f = SampledFunction(fine, 1.0 + fine * np.cos(3.0 * fine))
+    prob = ScalarProblem(FracParams(0.6, 0.3), 2.0, 0.8, f)
+    p = EKParams(0.7, 0.3, 0.6)
+    for solve in (lambda g: solve_scalar(prob, g), lambda g: solve_second_kind(f, 1.5, p, g)):
+        assert_allclose(solve(printed).values, solve(tgrid).values, rtol=0, atol=1e-9)
+
+
 def test_merged_kernel_matches_two_term_reference():
     # criterion 4's draws: the single E_{a,a} kernel applied by lag FFT
     # against the dense two-term sum it replaces (the power kernel over
