@@ -61,6 +61,7 @@ from .spectral import (  # noqa: F401
     DirectProblemSpec,
     SeparableForcing,
     TensorForcing,
+    _resample_unit,
     sine_analyze,
     solve_direct,
 )
@@ -153,8 +154,7 @@ def _profile(entry: str, xgrid: np.ndarray, base_dir: str) -> SampledFunction:
     """A spatial profile on ``xgrid`` from an x-expression or a file: table."""
     entry = entry.strip()
     if entry.startswith("file:"):
-        f = _load_samples(os.path.join(base_dir, entry[5:].strip()))
-        return SampledFunction(xgrid, np.interp(xgrid, f.grid, f.values))
+        return _resample_unit(_load_samples(os.path.join(base_dir, entry[5:].strip())), xgrid)
     expr = Expression(entry)
     if "t" in expr.used:
         raise ValueError(f"profile expression {entry!r} must not involve t")

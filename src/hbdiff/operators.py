@@ -181,8 +181,9 @@ def _sigma_profile(f: SampledFunction, beta: float, t: float):
 
 def _exact_first_cell(raw, s1, f0, f1, S, delta, gw):
     """``raw``, the nodal hat-weight integral of sigma^gw f up to each upper
-    limit in ``S``, with its first cell [0, s1] replaced by the integral of
-    (S-sigma)^(delta-1) sigma^gw (f0 + (f1-f0) sigma/s1) over that cell.
+    limit in ``S``, with its first cell of positive width, [0, s1], replaced
+    by the integral of (S-sigma)^(delta-1) sigma^gw (f0 + (f1-f0) sigma/s1)
+    over that cell.
 
     For S == s1 the integral is a Beta-function moment; otherwise the
     smooth kernel factor is linearized across the cell (its curvature
@@ -214,7 +215,8 @@ def _weighted_data(sig, vals, gw):
     if gw == 0.0:
         return vals
     g = np.zeros_like(vals)
-    g[1:] = sig[1:] ** gw * vals[1:]
+    pos = sig > 0.0
+    g[pos] = sig[pos] ** gw * vals[pos]
     return g
 
 
@@ -237,7 +239,8 @@ def ek_integral(f: SampledFunction, p: EKParams, t: float) -> float:
     g = _weighted_data(sig, vals, gw)
     raw = _hat_integral(sig, g[:-1], g[1:], p.delta)
     if gw != 0.0:
-        raw = float(_exact_first_cell(raw, sig[1], vals[0], vals[1], S, p.delta, gw))
+        z = np.count_nonzero(sig == 0.0)  # the first cell of positive width ends at node z
+        raw = float(_exact_first_cell(raw, sig[z], vals[z - 1], vals[z], S, p.delta, gw))
     return S ** (-(gw + p.delta)) / gamma(p.delta) * raw
 
 
@@ -279,7 +282,8 @@ def ek_integral_on_grid(f: SampledFunction, p: EKParams) -> np.ndarray:
     """:func:`ek_integral` evaluated at every grid node at once.
 
     The t = 0 entry holds the continuous limit f(0) *
-    Gamma(gamma_w+1)/Gamma(gamma_w+delta+1).
+    Gamma(gamma_w+1)/Gamma(gamma_w+delta+1), and so does every node whose
+    sigma = t^beta underflows to 0, with its own f.
     """
     if p.delta <= 0.0:
         raise ValueError("ek_integral_on_grid: requires delta > 0")
@@ -287,14 +291,14 @@ def ek_integral_on_grid(f: SampledFunction, p: EKParams) -> np.ndarray:
     if gw != 0.0 and gw <= -1.0:
         raise ValueError("ek_integral_on_grid: gamma_w must exceed -1")
     sig = f.grid**p.beta
+    z = np.count_nonzero(sig == 0.0)  # nodes 0 .. z-1 sit at sigma = 0
     g = _weighted_data(sig, f.values, gw)
     raw = np.array([_hat_integral(sig[: n + 1], g[:n], g[1 : n + 1], p.delta)
-                    for n in range(1, sig.size)])
+                    for n in range(z, sig.size)])
     if gw != 0.0:
-        raw = _exact_first_cell(raw, sig[1], f.values[0], f.values[1], sig[1:], p.delta, gw)
-    out = np.empty(sig.size)
-    out[0] = f.values[0] * gamma(gw + 1.0) / gamma(gw + p.delta + 1.0)
-    out[1:] = sig[1:] ** (-(gw + p.delta)) / gamma(p.delta) * raw
+        raw = _exact_first_cell(raw, sig[z], f.values[z - 1], f.values[z], sig[z:], p.delta, gw)
+    out = f.values * gamma(gw + 1.0) / gamma(gw + p.delta + 1.0)
+    out[z:] = sig[z:] ** (-(gw + p.delta)) / gamma(p.delta) * raw
     return out
 
 

@@ -41,21 +41,10 @@ def _pow_diff(hi, lo, d):
     """hi**d - lo**d for 0 <= lo <= hi, stable when hi is close to lo."""
     hi = np.asarray(hi, dtype=float)
     lo = np.asarray(lo, dtype=float)
-    out = np.empty(np.broadcast(hi, lo).shape)
-    lo_b = np.broadcast_to(lo, out.shape)
-    hi_b = np.broadcast_to(hi, out.shape)
-    zero = lo_b == 0.0
-    out[zero] = hi_b[zero] ** d
-    nz = ~zero
-    if np.any(nz):
-        h, l = hi_b[nz], lo_b[nz]
-        r = (h - l) / l
-        near = r < 0.25
-        res = np.empty(h.shape)
-        res[near] = l[near] ** d * np.expm1(d * np.log1p(r[near]))
-        res[~near] = h[~near] ** d - l[~near] ** d
-        out[nz] = res
-    return out
+    with np.errstate(all="ignore"):  # both forms are computed everywhere, then one is picked
+        r = (hi - lo) / lo
+        near = lo**d * np.expm1(d * np.log1p(r))
+        return np.where(lo == 0.0, hi**d, np.where(r < 0.25, near, hi**d - lo**d))
 
 
 def _cell_hat_weights(uR, uL, delta):
@@ -157,6 +146,19 @@ def _check_ml_kernel_args(s, order, btype):
     _check_grid(s, "matched ML kernel: grid")
 
 
+def _ml_cell_weights(order: float, btype: float, lam, v, h):
+    """Weights of the matched kernel on the cells [v[c], v[c+1]] of the
+    ascending lags ``v``, of widths ``h``: ``far`` for the data node at
+    v[c+1], farther from the upper limit, and ``near`` for the one at v[c].
+    The moments come from antiderivative differences; a column of rates
+    ``lam`` gives one row per rate."""
+    j0, j1 = _ml_antiderivatives(order, btype, lam, v)
+    uL, uR = v[:-1], v[1:]
+    m0 = j0[..., 1:] - j0[..., :-1]
+    i1 = uR * j0[..., 1:] - uL * j0[..., :-1] - (j1[..., 1:] - j1[..., :-1])
+    return (i1 - uL * m0) / h, (uR * m0 - i1) / h
+
+
 def ml_product_row(s, order: float, btype: float, lam: float) -> np.ndarray:
     """Weights w with w @ g equal to the convolution
 
@@ -170,19 +172,14 @@ def ml_product_row(s, order: float, btype: float, lam: float) -> np.ndarray:
     """
     s = np.asarray(s, dtype=float)
     _check_ml_kernel_args(s, order, btype)
-    S = s[-1]
-    u = S - s  # descending: u[j] pairs with data node s[j]
-    j0, j1 = _ml_antiderivatives(order, btype, lam, u)
-    # cell j: u in [u[j], u[j-1]]; moments via antiderivative differences
-    m0 = j0[:-1] - j0[1:]
-    i1 = u[:-1] * j0[:-1] - u[1:] * j0[1:] - (j1[:-1] - j1[1:])
-    h = u[:-1] - u[1:]
+    v = s[-1] - s[::-1]  # ascending lags: v[c] pairs with data node s[-1-c]
+    h = np.diff(v)
     # cells collapsed by rounding (sigma-gap below the ulp of S) carry no mass
     wide = h > 0.0
-    hs = np.where(wide, h, 1.0)
+    far, near = _ml_cell_weights(order, btype, lam, v, np.where(wide, h, 1.0))
     w = np.zeros(s.size)
-    w[:-1] += np.where(wide, (i1 - u[1:] * m0) / hs, 0.0)
-    w[1:] += np.where(wide, (u[:-1] * m0 - i1) / hs, 0.0)
+    w[:-1] += np.where(wide, far, 0.0)[::-1]
+    w[1:] += np.where(wide, near, 0.0)[::-1]
     return w
 
 
@@ -201,11 +198,7 @@ def ml_lag_weights(s, order: float, btype: float, lams):
     if h is None:
         raise ValueError("matched ML lag weights: grid must be uniform")
     lags = np.arange(s.size, dtype=float) * h
-    j0, j1 = _ml_antiderivatives(order, btype, np.reshape(lams, (-1, 1)), lags)
-    uL, uR = lags[:-1], lags[1:]
-    m0 = j0[:, 1:] - j0[:, :-1]
-    i1 = uR * j0[:, 1:] - uL * j0[:, :-1] - (j1[:, 1:] - j1[:, :-1])
-    return (i1 - uL * m0) / h, (uR * m0 - i1) / h
+    return _ml_cell_weights(order, btype, np.reshape(lams, (-1, 1)), lags, h)
 
 
 def lag_convolve(far, near, data) -> np.ndarray:

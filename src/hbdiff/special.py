@@ -1,4 +1,4 @@
-"""Gamma and Mittag-Leffler evaluation on the real line.
+"""Gamma, sin(pi x) and Mittag-Leffler evaluation on the real line.
 
 The two-parameter Mittag-Leffler function
 
@@ -62,86 +62,39 @@ _LOG_EPS = math.log(2.0**-52)
 # Complex elements per block of a contour sum, so temporaries stay bounded.
 _BLOCK = 1 << 16
 
-_SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 
-# Lanczos approximation, g = 607/128, 15 coefficients (Godfrey's set).
-_LANCZOS_G = 607.0 / 128.0
-_LANCZOS_COEF = (
-    0.99999999999999709182,
-    57.156235665862923517,
-    -59.597960355475491248,
-    14.136097974741747174,
-    -0.49191381609762019978,
-    0.33994649984811888699e-4,
-    0.46523628927048575665e-4,
-    -0.98374475304879564677e-4,
-    0.15808870322491248884e-3,
-    -0.21026444172410488319e-3,
-    0.21743961811521264320e-3,
-    -0.16431810653676389022e-3,
-    0.84418223983852743293e-4,
-    -0.26190838401581408670e-4,
-    0.36899182659531622704e-5,
-)
+def sinpi_array(x) -> np.ndarray:
+    """sin(pi*x) elementwise, with exact range reduction.
+
+    |x| is reduced modulo 2 before multiplying by pi and the sign is
+    restored afterwards (sin(pi*x) is odd), so the result is exactly zero
+    at integers and keeps full relative accuracy for large arguments, where
+    ``np.sin(np.pi * x)`` loses digits, and for tiny ones of either sign.
+    """
+    x = np.asarray(x, dtype=float)
+    # every step works in r, so a large sine matrix costs one array beyond x
+    r = np.abs(x, out=np.empty_like(x))
+    np.mod(r, 2.0, out=r)
+    # fold [0, 2) onto [0, 1/2], where sin(pi*r) is well conditioned; each step is exact
+    neg = r >= 1.0
+    r -= neg
+    np.subtract(1.0, r, out=r, where=r > 0.5)
+    np.sin(np.multiply(r, np.pi, out=r), out=r)
+    np.negative(r, where=neg != (x < 0.0), out=r)
+    return r
 
 
 def sinpi(x: float) -> float:
-    """sin(pi*x) with exact range reduction.
-
-    The integer part of ``x`` is removed before multiplying by pi, so the
-    result is exactly zero at integers and keeps full relative accuracy for
-    large arguments, where ``math.sin(math.pi * x)`` loses digits.
-    """
-    r = math.fmod(x, 2.0)
-    if r < 0.0:
-        r += 2.0
-    # fold [0, 2) onto [0, 1/2] where sin(pi*r) is well conditioned
-    if r <= 0.5:
-        return math.sin(math.pi * r)
-    if r < 1.0:
-        return math.sin(math.pi * (1.0 - r))
-    if r <= 1.5:
-        return -math.sin(math.pi * (r - 1.0))
-    return -math.sin(math.pi * (2.0 - r))
-
-
-def sinpi_array(x) -> np.ndarray:
-    """Vectorized :func:`sinpi`."""
-    x = np.asarray(x, dtype=float)
-    r = np.mod(x, 2.0)
-    out = np.empty_like(r)
-    m = r <= 0.5
-    out[m] = np.sin(np.pi * r[m])
-    m = (r > 0.5) & (r < 1.0)
-    out[m] = np.sin(np.pi * (1.0 - r[m]))
-    m = (r >= 1.0) & (r <= 1.5)
-    out[m] = -np.sin(np.pi * (r[m] - 1.0))
-    m = r > 1.5
-    out[m] = -np.sin(np.pi * (2.0 - r[m]))
-    return out
-
-
-def _lanczos(x: float) -> float:
-    # x >= 0.5 only; the (t^(z+1/2) e^-t) factor is computed as a squared
-    # half power so arguments near the overflow edge keep full accuracy
-    if x >= 172.0:
-        return math.inf  # Gamma(172) = 171! is past double range
-    z = x - 1.0
-    ser = _LANCZOS_COEF[0]
-    for i in range(1, len(_LANCZOS_COEF)):
-        ser += _LANCZOS_COEF[i] / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    half = math.pow(t, 0.5 * (z + 0.5)) * math.exp(-0.5 * t)
-    return _SQRT_TWO_PI * half * half * ser
+    """Scalar :func:`sinpi_array`."""
+    return float(sinpi_array(x))
 
 
 def gamma(x: float) -> float:
-    """Gamma function on the real line.
+    """Gamma function on the real line, by :func:`math.gamma`.
 
-    Lanczos approximation for x >= 1/2 and the reflection formula below,
-    with sin(pi*x) computed through exact range reduction.  Relative error
-    stays below 1e-13 on [-170, 170] away from the poles.  Arguments past
-    the overflow edge (about 171.6) return ``inf``.
+    Relative error stays below 1e-13 on [-170, 170] away from the poles,
+    also just below 0.  Arguments past the overflow edge (about 171.6, or
+    within about 5.6e-309 of 0) return ``inf`` with the sign of Gamma there.
 
     Raises
     ------
@@ -151,15 +104,12 @@ def gamma(x: float) -> float:
     x = float(x)
     if not math.isfinite(x):
         raise ValueError("gamma: argument must be finite")
-    if x >= 0.5:
-        if x <= 171.0 and x == math.floor(x):
-            return float(math.factorial(int(x) - 1))  # exact at integers
-        return _lanczos(x)
-    if x == math.floor(x):
+    if x <= 0.0 and x == math.floor(x):
         raise ValueError(f"gamma: pole at non-positive integer {x:g}")
-    # reflection; Gamma(1-x) may overflow for very negative x, in which case
-    # the true value underflows and pi/inf -> 0 is the right answer
-    return math.pi / (sinpi(x) * _lanczos(1.0 - x))
+    try:
+        return math.gamma(x)
+    except OverflowError:
+        return math.copysign(math.inf, x)
 
 
 @dataclass(frozen=True)

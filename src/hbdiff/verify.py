@@ -97,7 +97,7 @@ def _rate(coarse: float, fine: float):
 # ---------------------------------------------------------------------------
 # scalar-problem oracle: collocation of the integral equation
 
-def volterra_oracle(prob: ScalarProblem, tgrid, internal: int | None = None) -> SampledFunction:
+def volterra_oracle(prob: ScalarProblem, tgrid) -> SampledFunction:
     """Solve the scalar problem by implicit product-integration collocation.
 
     The unknown trace satisfies, in the s = t^rho clock,
@@ -116,8 +116,7 @@ def volterra_oracle(prob: ScalarProblem, tgrid, internal: int | None = None) -> 
     alpha = fp.alpha
     ls = lambda_star(prob.fp, prob.lam)
     S = tgrid[-1] ** fp.rho
-    if internal is None:
-        internal = max(4 * (tgrid.size - 1), 1024)
+    internal = max(4 * (tgrid.size - 1), 1024)
     r = max(2.0, 2.0 / alpha)
     s = S * (np.arange(internal + 1) / internal) ** r
 
@@ -148,11 +147,11 @@ def volterra_oracle(prob: ScalarProblem, tgrid, internal: int | None = None) -> 
 # ---------------------------------------------------------------------------
 # classical-limit oracle: L1 difference scheme at theta = 0
 
-def l1_caputo_solve(alpha: float, lam: float, u0: float, tgrid, internal: int = 2048) -> SampledFunction:
+def l1_caputo_solve(alpha: float, lam: float, u0: float, tgrid) -> SampledFunction:
     """March the relaxation problem D^alpha u + lam u = 0, u(0) = u0, with
     the classical L1 difference scheme for the Caputo derivative.
 
-    The march runs on a mesh graded like t^((2-alpha)/alpha) to recover
+    The march runs on 2048 cells graded like t^((2-alpha)/alpha) to recover
     second-order-like accuracy despite the t^alpha start, then the trace
     is interpolated onto ``tgrid``.  Entirely independent of the
     Mittag-Leffler representation.
@@ -161,6 +160,7 @@ def l1_caputo_solve(alpha: float, lam: float, u0: float, tgrid, internal: int = 
         raise ValueError("l1_caputo_solve: alpha must lie in (0, 1)")
     tgrid = _check_grid(tgrid, "time grid")
     T = tgrid[-1]
+    internal = 2048
     r = (2.0 - alpha) / alpha
     t = T * (np.arange(internal + 1) / internal) ** r
     g2 = gamma(2.0 - alpha)
@@ -181,10 +181,12 @@ def l1_caputo_solve(alpha: float, lam: float, u0: float, tgrid, internal: int = 
 # ---------------------------------------------------------------------------
 # reduction and residual harnesses
 
-def reduction_theta_zero(alpha: float, lam: float, tgrid, tol: float = 1e-10) -> VerificationReport:
+def reduction_theta_zero(alpha: float, lam: float, tgrid) -> VerificationReport:
     """At theta = 0 the weighted construction collapses to the classical
     fractional derivative, so the scalar solver must reproduce the pure
-    relaxation trace computed directly from the Mittag-Leffler function."""
+    relaxation trace computed directly from the Mittag-Leffler function,
+    to 1e-10."""
+    tol = 1e-10
     tgrid = _check_grid(tgrid, "time grid")
     fp = FracParams(alpha, 0.0)
     u = solve_scalar(ScalarProblem(fp, lam, 1.0), tgrid)
@@ -200,22 +202,21 @@ def reduction_theta_zero(alpha: float, lam: float, tgrid, tol: float = 1e-10) ->
     )
 
 
-def residual_direct(
-    field: SolutionField, spec: DirectProblemSpec, tol: float = 1e-2, start: float = 0.05
-) -> VerificationReport:
+def residual_direct(field: SolutionField, spec: DirectProblemSpec) -> VerificationReport:
     """Substitute a direct-solver field back into the governing equation.
 
     The weighted fractional derivative is applied numerically along every
     mode trace; the diffusion term is exact mode-wise ((k pi)^2 u_k); the
     forcing coefficients are subtracted, and the residual field is
-    synthesized and measured on interior times.
+    synthesized and measured on interior times against 1e-2.
 
-    Interior means t with t^rho >= start * T^rho: difference formulas of
+    Interior means t with t^rho >= 0.05 T^rho: difference formulas of
     L1 type have an O(1) consistency defect in a shrinking neighborhood
     of t = 0 on traces with the characteristic fractional-power start, so
     the residual is meaningful (and refines toward zero) only on a window
     bounded away from the origin.
     """
+    tol, start = 1e-2, 0.05
     K = field.modes.shape[0]
     tgrid = field.tgrid
     lam = (np.arange(1, K + 1) * math.pi) ** 2

@@ -368,6 +368,23 @@ def test_reg_caputo_on_grid_collapsed_sigma_cell_is_finite():
     assert_allclose(pointwise, out[1:], rtol=1e-11, atol=1e-13)
 
 
+def test_weighted_integrals_with_first_sigma_node_underflowed():
+    # beta = 2 maps t = 1e-200 to sigma = 0, so the first cell of positive
+    # width is the second one; with f(1e-200) = f(0) the node adds nothing
+    grid = np.array([0.0, 1e-200, 0.5, 1.0])
+    assert (grid**2.0)[1] == 0.0
+    p, p_diff = EKParams(2.0, 0.5, 0.5), EKParams(2.0, 0.5, -0.5)
+    for fn in (np.ones_like, np.cos):
+        f = SampledFunction(grid, fn(grid))
+        ref = SampledFunction(grid[[0, 2, 3]], fn(grid[[0, 2, 3]]))
+        got = [ek_integral(f, p, 1.0), ek_integrodiff(f, p_diff, 1.0)]
+        want = [ek_integral(ref, p, 1.0), ek_integrodiff(ref, p_diff, 1.0)]
+        on_grid = ek_integral_on_grid(f, p)
+        assert np.all(np.isfinite(got)) and np.all(np.isfinite(on_grid))
+        assert_allclose(got, want, rtol=1e-12, atol=0)
+        assert_allclose(on_grid, ek_integral_on_grid(ref, p)[[0, 0, 1, 2]], rtol=1e-12, atol=0)
+
+
 def _slope_term_reference(f, p, t):
     """ek_integrodiff's slope term at 40 digits: the data slope_j *
     sigma^(gamma_w+1), interpolated linearly on each sigma cell below

@@ -93,6 +93,14 @@ def test_gamma_against_mpmath_grid():
             assert_allclose(got, want, rtol=1e-13, err_msg=f"x={x}")
 
 
+def test_gamma_just_below_zero():
+    # inside the sweep's pole window, where a reflection through sin(pi x)
+    # must keep the low digits of tiny |x|
+    with mp.workdps(40):
+        for x in (-1e-300, -1e-16, -1e-10, -1e-5):
+            assert_allclose(gamma(x), float(mp.gamma(mp.mpf(x))), rtol=1e-13, err_msg=f"x={x}")
+
+
 def test_gamma_poles_raise():
     for x in (0.0, -1.0, -2.0, -37.0):
         with pytest.raises(ValueError):
@@ -129,6 +137,14 @@ def test_sinpi_matches_mpmath():
             want = float(mp.sinpi(mp.mpf(float(x))))
             assert_allclose(sinpi(float(x)), want, rtol=2e-15, atol=1e-300)
     assert_allclose(sinpi_array(xs), [sinpi(float(x)) for x in xs], rtol=0, atol=0)
+
+
+def test_sinpi_just_below_zero():
+    xs = [-1e-300, -1e-16, -1e-10, -1e-5]
+    with mp.workdps(40):
+        want = [float(mp.sinpi(mp.mpf(x))) for x in xs]
+    assert_allclose([sinpi(x) for x in xs], want, rtol=2e-15, atol=0)
+    assert_allclose(sinpi_array(xs), want, rtol=2e-15, atol=0)
 
 
 # ------------------------------------------------------- ML: frozen points
