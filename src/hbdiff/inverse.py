@@ -36,7 +36,8 @@ The wall values come from the modes just above the truncation,
 k = K+1 .. min(4K, nx-1), where the jump at the walls dominates: a
 least-squares fit matches mu_k phi_k, the discrete sine coefficients of
 -Delta_h phi with mu_k = (4/h^2) sin^2(k pi h/2), against the discrete
-sine coefficients of 1 - x and x, all three analyzed in one product.
+sine coefficients of 1 - x and x.  One DST-I analyzes psi, phi, 1 - x
+and x together up to mode min(4K, nx-1), so each profile is analyzed once.
 With fewer than two modes in that window the lift is zero.  So is a fit
 no larger than the rounding of phi carried through it,
 eps max|phi| |mu|_2 |B^+|_2 with B the fit's basis: band-limited data
@@ -53,10 +54,11 @@ import numpy as np
 from .errors import IllPosedError, ValidationError
 from .operators import FracParams, SampledFunction, make_time_grid
 from .scalar import solve_scalar_batch
-# bench/worker.py's WRAPS traces ml_one, ml_one_array and sinpi_array by this module's name
-from .special import ml_one, ml_one_array, sinpi_array  # noqa: F401
 from .spectral import (SineSeries, SolutionField, _resample_unit, _sine_coeffs,
-                       _sine_values, _spec_failures, sine_analyze, sine_synthesize)
+                       _sine_values, _spec_failures, sine_synthesize)
+# bench/worker.py's WRAPS traces these four by this module's name
+from .special import ml_one, ml_one_array, sinpi_array  # noqa: F401
+from .spectral import sine_analyze  # noqa: F401
 
 __all__ = [
     "InverseProblemSpec",
@@ -123,9 +125,10 @@ def solve_inverse(spec: InverseProblemSpec) -> InverseResult:
     xgrid = np.linspace(0.0, 1.0, spec.nx + 1)
     tgrid = make_time_grid(spec.horizon, spec.nt, fp.rho)
 
-    psi_c = sine_analyze(_resample_unit(spec.psi, xgrid), K).coeffs
-    phi = _resample_unit(spec.phi, xgrid)
-    phi_c = sine_analyze(phi, K).coeffs
+    kmax = min(4 * K, spec.nx - 1)
+    rows = [_resample_unit(prof, xgrid).values for prof in (spec.psi, spec.phi)]
+    coeffs = _sine_coeffs(xgrid, np.array(rows + [1.0 - xgrid, xgrid]), kmax, "inverse")
+    psi_c, phi_c = coeffs[:K, 0], coeffs[:K, 1]
 
     lam = (np.arange(1, K + 1) * math.pi) ** 2
     decay = solve_scalar_batch(fp, lam, np.ones(K), tgrid)  # unit data, no forcing
@@ -139,28 +142,23 @@ def solve_inverse(spec: InverseProblemSpec) -> InverseResult:
     U = transient[:, None] * decay + (f_c / lam)[:, None]
     field = SolutionField(xgrid, tgrid, _sine_values(U, xgrid), U)
 
-    walls = _wall_values(phi, K)
+    walls = _wall_values(coeffs[K:, 1:], K, 1.0 / spec.nx, np.max(np.abs(rows[1])))
     diagnostics = _diagnose(denom, worst, f_c, walls)
-    data = np.array([psi_c, phi_c])
-    return InverseResult(field, SineSeries(f_c), transient, diagnostics, walls, data)
+    return InverseResult(field, SineSeries(f_c), transient, diagnostics, walls, coeffs[:K, :2].T)
 
 
-def _wall_values(phi: SampledFunction, K: int) -> tuple[float, float]:
-    """Least-squares wall values (a, b) of the source -phi'' from the modes
-    K+1 .. min(4K, nx-1); (0, 0) when that window holds fewer than two, or
-    when the fit lies within the rounding of phi carried through it."""
-    x = phi.grid
-    n = x.size - 1
-    kmax = min(4 * K, n - 1)
-    if kmax - K < 2:
+def _wall_values(coeffs: np.ndarray, K: int, h: float, phi_max: float) -> tuple[float, float]:
+    """Least-squares wall values (a, b) of the source -phi'' from the sine
+    coefficients of phi, 1 - x and x (columns of ``coeffs``, grid step h) in
+    modes K+1 .. K+len(coeffs); (0, 0) when these are fewer than two, or when
+    the fit lies within the rounding of phi (max |phi| = ``phi_max``)."""
+    if coeffs.shape[0] < 2:
         return (0.0, 0.0)
-    h = 1.0 / n
-    k = np.arange(K + 1, kmax + 1)
+    k = np.arange(K + 1, K + 1 + coeffs.shape[0])
     mu = (4.0 / h**2) * np.sin(0.5 * math.pi * k * h) ** 2
-    coeffs = _sine_coeffs(x, np.array([phi.values, 1.0 - x, x]), kmax, "wall fit")[K:]
     (a, b), _, _, sv = np.linalg.lstsq(coeffs[:, 1:], mu * coeffs[:, 0], rcond=None)
     # |phi_k| errs by about eps max|phi|; the fit scales that by |mu| and |B^+| = 1/sv[-1]
-    floor = np.finfo(float).eps * np.max(np.abs(phi.values)) * np.linalg.norm(mu) / sv[-1]
+    floor = np.finfo(float).eps * phi_max * np.linalg.norm(mu) / sv[-1]
     if max(abs(a), abs(b)) <= floor:
         return (0.0, 0.0)
     return (float(a), float(b))
@@ -179,7 +177,7 @@ def _diagnose(
             "source series converges slowly: the last half of the modes "
             f"still carries absolute mass {half:.3e}"
         )
-    d = {
+    return {
         "min_denominator": float(denom[worst]),
         "min_denominator_mode": worst + 1,
         "source_mass": total,
@@ -188,7 +186,6 @@ def _diagnose(
         "source_wall_right": walls[1],
         "warnings": warnings,
     }
-    return d
 
 
 def reconstruct_source_field(res: InverseResult, xgrid) -> SampledFunction:

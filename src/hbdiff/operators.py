@@ -236,6 +236,8 @@ def ek_integral(f: SampledFunction, p: EKParams, t: float) -> float:
         raise ValueError("ek_integral: gamma_w must exceed -1 for integrability")
     sig, vals = _sigma_profile(f, p.beta, t)
     S = sig[-1]
+    if S == 0.0:  # sigma underflowed: the t -> 0 limit, as in ek_integral_on_grid
+        return f.value_at(t) * gamma(gw + 1.0) / gamma(gw + p.delta + 1.0)
     g = _weighted_data(sig, vals, gw)
     raw = _hat_integral(sig, g[:-1], g[1:], p.delta)
     if gw != 0.0:
@@ -265,6 +267,8 @@ def ek_integrodiff(f: SampledFunction, p: EKParams, t: float) -> float:
     # sigma * slope is affine on each cell through the nodal sigma^(gw+1)
     sigS, _ = _sigma_profile(f, p.beta, t)
     S = sigS[-1]
+    if S == 0.0:  # the slope term vanishes as sigma -> 0
+        return term1
     ncell = sigS.size - 1
     # kept nodes are a prefix of the grid, so cell j inherits slope j; the
     # clipped last cell lies inside original cell ncell-1.  A cell that

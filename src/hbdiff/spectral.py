@@ -17,8 +17,8 @@ u(x, t) = sum_k u_k(t) sin(k pi x).  All K traces come from one
 :func:`hbdiff.scalar.solve_scalar_batch` call (one ML table, one lag FFT).
 :mod:`hbdiff.inverse` shares the synthesis, the spec checks and that call.
 
-Coefficient extraction uses an exact discrete sine transform on uniform
-grids: synthesize-then-analyze is the identity for any series the grid
+Coefficient extraction is an exact DST-I by real FFT on uniform grids:
+synthesize-then-analyze is the identity for any series the grid
 resolves, and boundary values of synthesized fields are exactly zero.
 """
 
@@ -107,40 +107,44 @@ class TensorForcing:
         object.__setattr__(self, "values", v)
 
 
-def _require_unit_uniform(grid: np.ndarray, what: str) -> float:
-    """Validate a uniform grid spanning [0, 1]; return its spacing."""
-    if abs(grid[-1] - 1.0) > 1e-12:
-        raise ValueError(f"{what}: grid must span [0, 1]")
-    if grid.size < 3 or _uniform_step(grid) is None:
-        raise ValueError(f"{what}: grid must be uniform")
-    return 1.0 / (grid.size - 1)
-
-
 def sine_analyze(g: SampledFunction, K: int) -> SineSeries:
     """Sine coefficients 2 * integral_0^1 g(x) sin(k pi x) dx, k = 1..K.
 
     The transform is exact on band-limited data: analyzing a synthesized
     series recovers its coefficients to machine precision whenever the
     grid resolves every mode (K at most len(grid) - 2).  Boundary samples
-    do not enter; the basis vanishes there.
+    do not enter; the basis vanishes there.  It is a DST-I by real FFT.
     """
     return SineSeries(_sine_coeffs(g.grid, g.values, K, "sine_analyze"))
 
 
+def _unit_grid_failures(grid: np.ndarray, K: int, what: str) -> list:
+    """Why ``grid`` cannot carry K sine modes: it must span [0, 1], be
+    uniform and have more than K cells."""
+    n = grid.size - 1
+    out = []
+    if abs(grid[-1] - 1.0) > 1e-12:
+        out.append(f"{what}: grid must span [0, 1]")
+    if grid.size < 3 or _uniform_step(grid) is None:
+        out.append(f"{what}: grid must be uniform")
+    if K > n - 1:
+        out.append(f"{what}: a grid with {n} cells resolves at most {n - 1} modes")
+    return out
+
+
 def _sine_coeffs(grid: np.ndarray, values: np.ndarray, K: int, what: str) -> np.ndarray:
     """:func:`sine_analyze` of every row of ``values`` (sampled on ``grid``
-    along the last axis) in one product; shape (K,) + values.shape[:-1]."""
+    along the last axis) by one DST-I; shape (K,) + values.shape[:-1]."""
     if K < 1:
         raise ValueError(f"{what}: need at least one mode")
-    h = _require_unit_uniform(grid, what)
-    n = grid.size - 1
-    if K > n - 1:
-        raise ValueError(f"{what}: a grid with {n} cells resolves at most {n - 1} modes")
-    j = np.arange(1, n)
-    k = np.arange(1, K + 1)
-    # discrete orthogonality: sum_j sin(k pi j/n) sin(m pi j/n) = (n/2) delta_km
-    S = sinpi_array(np.outer(k, j) / n)
-    return 2.0 * h * (S @ values[..., 1:-1].T)
+    if failures := _unit_grid_failures(grid, K, what):
+        raise ValueError(failures[0])
+    # with odd = [0, v_1..v_{n-1}, 0, -v_{n-1}..-v_1], the coefficient
+    # 2h sum_j v_j sin(k pi j/n) is -Im(rfft(odd))[k] / n
+    v = values[..., 1:-1]
+    zero = np.zeros(v.shape[:-1] + (1,))
+    odd = np.concatenate([zero, v, zero, -v[..., ::-1]], axis=-1)
+    return (-np.fft.rfft(odd)[..., 1 : K + 1].imag / (grid.size - 1)).T
 
 
 def _sine_values(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -183,7 +187,7 @@ class DirectProblemSpec:
 
     def __post_init__(self):
         failures = _spec_failures(self, "horizon", {"initial profile": self.psi})
-        failures += _forcing_failures(self.forcing, self.horizon)
+        failures += _forcing_failures(self.forcing, self.horizon, self.modes)
         if failures:
             raise ValidationError(failures)
 
@@ -217,7 +221,7 @@ def _spec_failures(spec, horizon_name: str, profiles: dict) -> list:
     return failures
 
 
-def _forcing_failures(forcing, horizon: float) -> list:
+def _forcing_failures(forcing, horizon: float, K: int) -> list:
     if forcing is None:
         return []
     out = []
@@ -226,8 +230,7 @@ def _forcing_failures(forcing, horizon: float) -> list:
         if forcing.time is not None and forcing.time.grid[-1] < horizon * (1.0 - 1e-12):
             out.append("forcing time factor must cover [0, horizon]")
     elif isinstance(forcing, TensorForcing):
-        if abs(forcing.xgrid[-1] - 1.0) > 1e-12:
-            out.append("forcing must be sampled on x in [0, 1]")
+        out += _unit_grid_failures(forcing.xgrid, K, "forcing")
         bmax = max(np.max(np.abs(forcing.values[:, 0])), np.max(np.abs(forcing.values[:, -1])))
         if bmax > BOUNDARY_TOL:
             out.append("forcing must vanish at x = 0 and x = 1")
@@ -268,16 +271,13 @@ def _resample_unit(f: SampledFunction, xgrid: np.ndarray) -> SampledFunction:
 
 def _forcing_mode_traces(forcing, K: int, xgrid, tgrid) -> np.ndarray:
     """Sine coefficient traces f_k(t) of the forcing on ``tgrid``, shape
-    (K, len(tgrid)).  A tensor forcing is analyzed in one product against
-    one sine matrix."""
+    (K, len(tgrid)); a time-independent forcing gives its (K, 1) column
+    g_k, which broadcasts.  A tensor forcing's time rows share one DST-I."""
     if isinstance(forcing, SeparableForcing):
-        g_c = sine_analyze(_resample_unit(forcing.space, xgrid), K).coeffs
+        g_c = sine_analyze(_resample_unit(forcing.space, xgrid), K).coeffs[:, None]
         if forcing.time is None:
-            return np.repeat(g_c[:, None], tgrid.size, axis=1)
-        return g_c[:, None] * np.interp(tgrid, forcing.time.grid, forcing.time.values)
-    nf = forcing.xgrid.size - 1
-    if K > nf - 1:
-        raise ValidationError([f"forcing xgrid with {nf} cells resolves only {nf - 1} of {K} modes"])
+            return g_c
+        return g_c * np.interp(tgrid, forcing.time.grid, forcing.time.values)
     coefs = _sine_coeffs(forcing.xgrid, forcing.values, K, "forcing")
     return np.array([np.interp(tgrid, forcing.tgrid, row) for row in coefs])
 
@@ -286,12 +286,12 @@ def _mode_traces(spec: DirectProblemSpec, psi_c: np.ndarray, tgrid, xgrid) -> np
     K = spec.modes
     lam = (np.arange(1, K + 1) * math.pi) ** 2
     forcing = spec.forcing
+    rows = None if forcing is None else _forcing_mode_traces(forcing, K, xgrid, tgrid)
     if isinstance(forcing, SeparableForcing) and forcing.time is None:
         # solve_scalar_constant's closed form, all modes on one decay table
-        eq = sine_analyze(_resample_unit(forcing.space, xgrid), K).coeffs / lam
+        eq = rows[:, 0] / lam
         decay = solve_scalar_batch(spec.fp, lam, np.ones(K), tgrid)
         return (psi_c - eq)[:, None] * decay + eq[:, None]
-    rows = None if forcing is None else _forcing_mode_traces(forcing, K, xgrid, tgrid)
     return solve_scalar_batch(spec.fp, lam, psi_c, tgrid, rows)
 
 
@@ -306,11 +306,9 @@ def solve_direct(spec: DirectProblemSpec) -> SolutionField:
     xgrid = np.linspace(0.0, 1.0, spec.nx + 1)
     tgrid = make_time_grid(spec.horizon, spec.nt, spec.fp.rho)
 
-    psi = _resample_unit(spec.psi, xgrid)
-    kmax_full = min(4 * spec.modes, spec.nx - 1)
-    all_c = sine_analyze(psi, kmax_full).coeffs
-    psi_c = all_c[: spec.modes]
-    tail = float(np.sum(np.abs(all_c[spec.modes :])))
+    K = spec.modes
+    all_c = sine_analyze(_resample_unit(spec.psi, xgrid), min(4 * K, spec.nx - 1)).coeffs
+    psi_c, tail = all_c[:K], float(np.sum(np.abs(all_c[K:])))
 
     U = _mode_traces(spec, psi_c, tgrid, xgrid)
     return SolutionField(xgrid, tgrid, _sine_values(U, xgrid), U, tail)

@@ -1,6 +1,7 @@
 """Tests for source recovery from initial and final profiles."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -191,6 +192,22 @@ def test_lifted_source_unequal_walls():
     field = reconstruct_source_field(res, x)
     mid = (x >= 0.1) & (x <= 0.9)
     assert np.max(np.abs(field.values[mid] - (1.0 + x[mid]))) < 1e-3
+
+
+def test_inverse_with_wall_fit_in_little_memory():
+    # the K = 201, nx = 1024 solve of the lifted-source test; its wall fit
+    # reads modes up to 804, and each profile is analyzed once
+    fp = FracParams(0.5, 0.0)
+    x = unit_grid(1024)
+    prof = SampledFunction(x, 2.0 * x / 3.0 - x**2 / 2.0 - x**3 / 6.0)
+    spec = InverseProblemSpec(fp, prof, prof, 1.0, modes=201, nx=1024, nt=8)
+    tracemalloc.start()
+    try:
+        solve_inverse(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def test_band_limited_source_gets_no_lift():

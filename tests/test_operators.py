@@ -385,6 +385,28 @@ def test_weighted_integrals_with_first_sigma_node_underflowed():
         assert_allclose(on_grid, ek_integral_on_grid(ref, p)[[0, 0, 1, 2]], rtol=1e-12, atol=0)
 
 
+def test_point_integrals_where_sigma_underflows_take_the_t0_limit():
+    # at t = 1e-200, sigma = t^2 is 0: both point forms return the t -> 0
+    # limit f(t) Gamma(gamma_w+1)/Gamma(gamma_w+delta+1), as the grid form does
+    grid = np.array([0.0, 1e-200, 0.5, 1.0])
+    t = grid[1]
+    for gw in (0.0, 0.5):
+        p, p_diff = EKParams(2.0, gw, 0.5), EKParams(2.0, gw, -0.5)
+        for fn in (np.ones_like, lambda x: 3.0 - x):
+            f = SampledFunction(grid, fn(grid))
+            # sigma's underflow is the case under test; any other flag fails
+            with np.errstate(all="raise", under="ignore"):
+                got = [ek_integral(f, p, t), ek_integrodiff(f, p_diff, t)]
+                node = ek_integral_on_grid(f, p)[1]
+            limit = [f.values[1] * gamma(gw + 1.0) / gamma(gw + d + 1.0) for d in (0.5, -0.5)]
+            assert np.all(np.isfinite(got))
+            assert_allclose(got[0], node, rtol=1e-12, atol=0)
+            assert_allclose(got, limit, rtol=1e-12, atol=0)
+            if fn is np.ones_like:  # constant data: both are constant in t
+                later = [ek_integral(f, p, 0.25), ek_integrodiff(f, p_diff, 0.25)]
+                assert_allclose(got, later, rtol=1e-12, atol=0)
+
+
 def _slope_term_reference(f, p, t):
     """ek_integrodiff's slope term at 40 digits: the data slope_j *
     sigma^(gamma_w+1), interpolated linearly on each sigma cell below

@@ -100,6 +100,37 @@ def test_round_trip_identity_on_resolved_series():
     assert np.max(np.abs(back - coeffs)) < 1e-12
 
 
+def _fine_bump_coeffs():
+    """x(1-x) on 2048 cells analyzed in all 2047 resolvable modes, and the
+    peak memory traced during the call."""
+    x = unit_grid(2048)
+    g = SampledFunction(x, bump(x))
+    tracemalloc.start()
+    try:
+        c = sine_analyze(g, 2047).coeffs
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return c, peak
+
+
+def test_analyze_every_mode_of_a_fine_grid():
+    # the discrete coefficients of x(1-x): 2h sum_j x_j (1-x_j) sin(k pi x_j)
+    # = h^3 cot(k pi h/2) / sin^2(k pi h/2) for odd k, 0 for even k
+    c, _ = _fine_bump_coeffs()
+    h = 1.0 / 2048
+    k = np.arange(1, 2048)
+    a = 0.5 * k * math.pi * h
+    want = np.where(k % 2 == 1, h**3 / (np.tan(a) * np.sin(a) ** 2), 0.0)
+    assert_allclose(c, want, rtol=0, atol=1e-15)
+
+
+def test_analyze_every_mode_of_a_fine_grid_in_little_memory():
+    # a (K, n) sine matrix for this call alone would take 32 MB
+    _, peak = _fine_bump_coeffs()
+    assert peak < 2 * 2**20
+
+
 # ---------------------------------------------------------------------------
 # mode forcing
 
@@ -308,6 +339,29 @@ def test_direct_spec_validation_lists_failures():
     )
     with pytest.raises(ValidationError):
         DirectProblemSpec(fp, psi, short, horizon=1.0, modes=4, nx=32, nt=16)
+
+
+def test_tensor_forcing_grid_is_checked_with_the_spec():
+    # the forcing's own x grid must be uniform on [0, 1] and resolve K modes
+    fp = FracParams(0.5, 0.0)
+    x = unit_grid(32)
+    psi = SampledFunction(x, bump(x))
+
+    def spec(xf, K):
+        forcing = TensorForcing(xf, [0.0, 1.0], np.outer([1.0, 2.0], bump(xf)))
+        return DirectProblemSpec(fp, psi, forcing, modes=K, nx=32, nt=16)
+
+    cases = [
+        (unit_grid(32) ** 2, 4, ["forcing: grid must be uniform"]),
+        (unit_grid(8), 8, ["forcing: a grid with 8 cells resolves at most 7 modes"]),
+        (unit_grid(8) ** 2, 8, ["forcing: grid must be uniform",
+                                "forcing: a grid with 8 cells resolves at most 7 modes"]),
+    ]
+    for xf, K, failures in cases:
+        with pytest.raises(ValidationError) as err:
+            spec(xf, K)
+        assert err.value.failures == failures
+    spec(unit_grid(8), 7)
 
 
 def test_solution_field_trace_accessor():
