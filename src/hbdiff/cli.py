@@ -61,7 +61,6 @@ from .spectral import (  # noqa: F401
     DirectProblemSpec,
     SeparableForcing,
     TensorForcing,
-    _resample_unit,
     sine_analyze,
     solve_direct,
 )
@@ -151,10 +150,10 @@ def _load_samples(path: str) -> SampledFunction:
 
 
 def _profile(entry: str, xgrid: np.ndarray, base_dir: str) -> SampledFunction:
-    """A spatial profile on ``xgrid`` from an x-expression or a file: table."""
+    """A spatial profile: an x-expression on ``xgrid``, or a file: table as loaded."""
     entry = entry.strip()
     if entry.startswith("file:"):
-        return _resample_unit(_load_samples(os.path.join(base_dir, entry[5:].strip())), xgrid)
+        return _load_samples(os.path.join(base_dir, entry[5:].strip()))
     expr = Expression(entry)
     if "t" in expr.used:
         raise ValueError(f"profile expression {entry!r} must not involve t")
@@ -169,64 +168,38 @@ def _forcing(entry: str, xgrid: np.ndarray, tgrid: np.ndarray, base_dir: str):
     expr = None if entry.startswith("file:") else Expression(entry)
     if expr is None or "t" not in expr.used:
         return SeparableForcing(_profile(entry, xgrid, base_dir))
-    X = xgrid[None, :]
-    T = tgrid[:, None]
-    vals = np.asarray(expr(x=X, t=T), dtype=float)
-    vals = np.broadcast_to(vals, (tgrid.size, xgrid.size))
-    return TensorForcing(xgrid, tgrid, np.array(vals, dtype=float))
+    vals = np.asarray(expr(x=xgrid[None, :], t=tgrid[:, None]), dtype=float)
+    return TensorForcing(xgrid, tgrid, np.array(np.broadcast_to(vals, (tgrid.size, xgrid.size))))
 
 
 # ---------------------------------------------------------------------------
 # spec files
 
-def _read_spec(path: str) -> configparser.ConfigParser:
+def _load_spec(path: str, section: str, needs: str):
+    """Read the spec file at ``path``: the parser, its directory, the operator,
+    the [domain] (T, K, nx, nt; K defaults to HB_DEFAULT_MODES, else 64) and
+    the x grid.  Raises unless the file has [operator] and ``section``."""
     cp = configparser.ConfigParser(interpolation=None)
-    read = cp.read(path)
-    if not read:
+    if not cp.read(path):
         raise ValueError(f"cannot read spec file {path!r}")
-    return cp
-
-
-def _operator_params(cp: configparser.ConfigParser) -> FracParams:
     if not cp.has_section("operator"):
         raise ValueError("spec file needs an [operator] section with alpha and theta")
     alpha = cp.getfloat("operator", "alpha")
-    theta = cp.getfloat("operator", "theta", fallback=0.0)
-    return FracParams(alpha, theta)
-
-
-def _default_modes() -> int:
-    env = os.environ.get("HB_DEFAULT_MODES")
-    if env is None:
-        return 64
-    try:
-        k = int(env)
-    except ValueError:
-        raise ValueError(f"HB_DEFAULT_MODES must be an integer, got {env!r}") from None
-    return k
-
-
-def _domain(cp: configparser.ConfigParser):
+    fp = FracParams(alpha, cp.getfloat("operator", "theta", fallback=0.0))
     horizon = cp.getfloat("domain", "T", fallback=1.0)
     if cp.has_option("domain", "K"):
         modes = cp.getint("domain", "K")
     else:
-        modes = _default_modes()
+        env = os.environ.get("HB_DEFAULT_MODES", "64")
+        try:
+            modes = int(env)
+        except ValueError:
+            raise ValueError(f"HB_DEFAULT_MODES must be an integer, got {env!r}") from None
     nx = cp.getint("domain", "nx", fallback=256)
-    nt = cp.getint("domain", "nt", fallback=512)
-    return horizon, modes, nx, nt
-
-
-def _load_spec(path: str, section: str, needs: str):
-    """The parsed spec file, its directory, its operator, its [domain]
-    (T, K, nx, nt) and the x grid; raises unless it has ``section``."""
-    cp = _read_spec(path)
-    spec_dir = os.path.dirname(os.path.abspath(path))
-    fp = _operator_params(cp)
-    domain = _domain(cp)
+    domain = (horizon, modes, nx, cp.getint("domain", "nt", fallback=512))
     if not cp.has_section(section):
         raise ValueError(f"spec file needs {needs}")
-    return cp, spec_dir, fp, domain, np.linspace(0.0, 1.0, domain[2] + 1)
+    return cp, os.path.dirname(os.path.abspath(path)), fp, domain, np.linspace(0.0, 1.0, nx + 1)
 
 
 def _out_dir(cp: configparser.ConfigParser, spec_dir: str) -> str:
@@ -312,8 +285,7 @@ def _cmd_direct(args) -> int:
 def _cmd_inverse(args) -> int:
     cp, spec_dir, fp, (horizon, modes, nx, nt), xgrid = _load_spec(
         args.spec, "inverse", "an [inverse] section with psi and phi")
-    if cp.has_option("inverse", "T"):
-        horizon = cp.getfloat("inverse", "T")
+    horizon = cp.getfloat("inverse", "T", fallback=horizon)
     psi = _profile(cp.get("inverse", "psi"), xgrid, spec_dir)
     phi = _profile(cp.get("inverse", "phi"), xgrid, spec_dir)
     spec = InverseProblemSpec(fp, psi, phi, horizon, modes=modes, nx=nx, nt=nt)

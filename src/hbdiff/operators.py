@@ -51,7 +51,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .quadrature import _cell_hat_weights, _check_grid, _clip_profile, _hat_integral, _pow_diff
+from .quadrature import (_cell_hat_weights, _check_grid, _clip_profile, _hat_integral,
+                         _past_end, _pow_diff)
 from .special import gamma
 
 __all__ = [
@@ -142,8 +143,13 @@ class SampledFunction:
             der = np.array([deriv_fn(float(t)) for t in grid], dtype=float)
         return cls(grid, vals, der)
 
-    def value_at(self, t: float) -> float:
-        return float(np.interp(t, self.grid, self.values))
+    def value_at(self, t):
+        """The interpolant at a float or an array ``t``; raises ValueError for
+        a point past the last node by more than 1e-12 of it (``_past_end``)."""
+        if _past_end(t, self.grid[-1]):
+            raise ValueError("evaluation point lies beyond the sampled grid")
+        v = np.interp(t, self.grid, self.values)
+        return float(v) if np.ndim(v) == 0 else v
 
 
 def make_time_grid(horizon: float, n: int, rho: float) -> np.ndarray:
@@ -174,7 +180,7 @@ def _sigma_profile(f: SampledFunction, beta: float, t: float):
     end, is the last node."""
     sig_full = f.grid**beta
     S = t**beta
-    if S > sig_full[-1] + 1e-12 * max(sig_full[-1], 1.0):
+    if _past_end(S, sig_full[-1]):
         raise ValueError("evaluation point lies beyond the sampled grid")
     return _clip_profile(sig_full, f.values, min(S, float(sig_full[-1])))
 
@@ -317,17 +323,17 @@ def hyper_bessel(f: SampledFunction, fp: FracParams, t: float) -> float:
 
 
 def reg_caputo_hb(f: SampledFunction, fp: FracParams, t: float) -> float:
-    """Regularized (Caputo-like) fractional Euler-operator derivative:
-    the unregularized form minus f(0) rho^alpha t^(-rho alpha)/Gamma(1-alpha)."""
-    rho = fp.rho
-    cusp = f.values[0] * rho**fp.alpha * t ** (-rho * fp.alpha) / gamma(1.0 - fp.alpha)
-    return hyper_bessel(f, fp, t) - cusp
+    """Regularized (Caputo-like) fractional Euler-operator derivative: the
+    unregularized form of f - f(0).  It equals that of f minus the cusp
+    f(0) rho^alpha t^(-rho alpha)/Gamma(1-alpha), without their cancellation."""
+    return hyper_bessel(SampledFunction(f.grid, f.values - f.values[0], f.deriv), fp, t)
 
 
 def reg_caputo_on_grid(f: SampledFunction, fp: FracParams) -> np.ndarray:
-    """Regularized derivative at every grid node; index 0 carries the
-    limit value 0 (the regularization removes the t -> 0 singularity for
-    sampled data with finite slope in the transformed clock).
+    """Regularized derivative at every grid node; index 0, and every node
+    whose sigma = t^rho underflows to 0, carries the limit value 0 (the
+    regularization removes the t -> 0 singularity for sampled data with
+    finite slope in the transformed clock).
 
     Evaluated as the Caputo derivative in sigma = t^rho (see the module
     docstring): piecewise-constant slopes of the interpolant, or the
@@ -340,7 +346,7 @@ def reg_caputo_on_grid(f: SampledFunction, fp: FracParams) -> np.ndarray:
     out = np.zeros(sig.size)
     if f.deriv is not None:
         g = (1.0 - alpha) * (f.values - f.values[0]) + f.grid * f.deriv / rho
-        for n in range(1, sig.size):
+        for n in range(np.count_nonzero(sig == 0.0), sig.size):
             out[n] = _hat_integral(sig[: n + 1], g[:n], g[1 : n + 1], 1.0 - alpha) / sig[n]
         return rho**alpha / gamma(1.0 - alpha) * out
     dv = np.diff(f.values)

@@ -11,9 +11,10 @@ linear interpolation of the data being convolved.
 
 The grid rules have one home here: :func:`_check_grid` (finite, rising
 from 0), :func:`_uniform_step` (the solvers' one test of a uniform clock
-s = t^rho), :func:`_clip_profile` (the nodes below an upper limit p, then
-p) and :func:`_hat_integral` (the power kernel with upper limit sig[-1]
-against data affine on each cell, by exact hat-function moments).
+s = t^rho), :func:`_past_end` (the one coverage rule of a sampled grid),
+:func:`_clip_profile` (the nodes below an upper limit p, then p) and
+:func:`_hat_integral` (the power kernel with upper limit sig[-1] against
+data affine on each cell, by exact hat-function moments).
 :func:`power_integral_at` and :mod:`hbdiff.operators` build on them.
 
 On a uniform grid the matched-kernel weights depend on the lag alone, so
@@ -82,6 +83,11 @@ def _uniform_step(s):
     recomputed from times printed to 12 significant digits."""
     h = s[1] - s[0]
     return h if np.allclose(np.diff(s), h, rtol=1e-9, atol=1e-13 * abs(s[-1])) else None
+
+
+def _past_end(points, end) -> bool:
+    """Whether any of ``points`` lies past the grid's last node ``end`` by over 1e-12 of it."""
+    return bool(np.any(np.asarray(points) > end * (1.0 + 1e-12)))
 
 
 def _clip_profile(s, vals, p):
@@ -247,7 +253,7 @@ def power_integral_at(s, vals, delta: float, points) -> np.ndarray:
         raise ValueError("power_integral_at: delta must be positive")
     s = _check_grid(s, "power_integral_at: grid")
     points = np.asarray(points, dtype=float)
-    if np.any(points > s[-1] * (1.0 + 1e-12)):
+    if _past_end(points, s[-1]):
         raise ValueError("power_integral_at: point beyond the sampled grid")
     out = np.zeros(points.shape)
     for i, p in np.ndenumerate(points):

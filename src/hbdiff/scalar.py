@@ -115,12 +115,8 @@ def _forcing_samples(forcing, t_nodes: np.ndarray):
     if isinstance(forcing, ZeroForcing):
         return None
     if isinstance(forcing, ConstantForcing):
-        if forcing.f0 == 0.0:
-            return None
-        return np.full(t_nodes.shape, forcing.f0)
-    if t_nodes[-1] > forcing.grid[-1] * (1.0 + 1e-12):
-        raise ValueError("forcing samples do not cover the requested horizon")
-    return np.interp(t_nodes, forcing.grid, forcing.values)
+        return None if forcing.f0 == 0.0 else np.full(t_nodes.shape, forcing.f0)
+    return forcing.value_at(t_nodes)
 
 
 def solve_scalar_batch(fp: FracParams, lam, u0, tgrid, forcing=None) -> np.ndarray:
@@ -212,13 +208,11 @@ def solve_second_kind(
     if not math.isfinite(lam):
         raise ValueError("solve_second_kind: lam must be finite")
     tgrid = _check_grid(tgrid, "time grid")
-    if tgrid[-1] > f.grid[-1] * (1.0 + 1e-12):
-        raise ValueError("solve_second_kind: samples do not cover the horizon")
     if lam == 0.0:
-        return SampledFunction(tgrid, np.interp(tgrid, f.grid, f.values))
+        return SampledFunction(tgrid, f.value_at(tgrid))
 
     def solve(t_nodes, sig):
-        fvals = np.interp(t_nodes, f.grid, f.values)
+        fvals = f.value_at(t_nodes)
         far, near = ml_lag_weights(sig, p.delta, p.delta, [lam])
         # sig**0 == 1 exactly, so gamma_w = 0 needs no branch
         conv = lag_convolve(far, near, sig**p.gamma_w * fvals)[0]
@@ -259,10 +253,16 @@ def prabhakar_compose(
         raise ValueError("prabhakar_compose: beta_star and mu must be positive")
     if not (math.isfinite(lam) and math.isfinite(x)) or x <= 0.0:
         raise ValueError("prabhakar_compose: need finite lam and x > 0")
-    if x > f.grid[-1] * (1.0 + 1e-12):
-        raise ValueError("prabhakar_compose: x lies beyond the sampled grid")
     if n < 8:
         raise ValueError("prabhakar_compose: n too small")
+
+    base = np.union1d(np.linspace(0.0, x, n + 1), f.grid[f.grid < x])
+    # collapse near-coincident merge artifacts; keep 0 and x themselves
+    drop = np.zeros(base.size, dtype=bool)
+    drop[:-1] = np.diff(base) <= 1e-12 * x
+    drop[0] = False
+    base = base[~drop]
+    rhs = float(f.value_at(base) @ ml_product_row(base, alpha, beta_star + mu, lam))
 
     def lhs_level(m: int) -> float:
         # cubic grading puts resolution where the inner integral behaves
@@ -274,13 +274,4 @@ def prabhakar_compose(
     # the error of the graded outer rule is C/m^2 + O(m^-3); one
     # extrapolation step removes the leading term
     lhs = (4.0 * lhs_level(n) - lhs_level(n // 2)) / 3.0
-
-    base = np.union1d(np.linspace(0.0, x, n + 1), f.grid[f.grid < x])
-    # collapse near-coincident merge artifacts; keep 0 and x themselves
-    drop = np.zeros(base.size, dtype=bool)
-    drop[:-1] = np.diff(base) <= 1e-12 * x
-    drop[0] = False
-    base = base[~drop]
-    fv = np.interp(base, f.grid, f.values)
-    rhs = float(ml_product_row(base, alpha, beta_star + mu, lam) @ fv)
     return lhs, rhs

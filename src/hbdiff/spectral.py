@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .operators import FracParams, SampledFunction, make_time_grid
-from .quadrature import _check_grid, _uniform_step
+from .quadrature import _check_grid, _past_end, _uniform_step
 from .scalar import ScalarProblem, solve_scalar, solve_scalar_batch
 from .special import sinpi_array
 # bench/worker.py's WRAPS traces these two by this module's name
@@ -227,14 +227,14 @@ def _forcing_failures(forcing, horizon: float, K: int) -> list:
     out = []
     if isinstance(forcing, SeparableForcing):
         out += _profile_failures("forcing space factor", forcing.space)
-        if forcing.time is not None and forcing.time.grid[-1] < horizon * (1.0 - 1e-12):
+        if forcing.time is not None and _past_end(horizon, forcing.time.grid[-1]):
             out.append("forcing time factor must cover [0, horizon]")
     elif isinstance(forcing, TensorForcing):
         out += _unit_grid_failures(forcing.xgrid, K, "forcing")
         bmax = max(np.max(np.abs(forcing.values[:, 0])), np.max(np.abs(forcing.values[:, -1])))
         if bmax > BOUNDARY_TOL:
             out.append("forcing must vanish at x = 0 and x = 1")
-        if forcing.tgrid[-1] < horizon * (1.0 - 1e-12):
+        if _past_end(horizon, forcing.tgrid[-1]):
             out.append("forcing samples must cover [0, horizon]")
     else:
         out.append("forcing must be SeparableForcing, TensorForcing, or None")
@@ -264,9 +264,8 @@ class SolutionField:
 
 
 def _resample_unit(f: SampledFunction, xgrid: np.ndarray) -> SampledFunction:
-    if f.grid.size == xgrid.size and np.array_equal(f.grid, xgrid):
-        return f
-    return SampledFunction(xgrid, np.interp(xgrid, f.grid, f.values))
+    """``f`` read at the x nodes; the solvers resample each profile once, here."""
+    return SampledFunction(xgrid, f.value_at(xgrid))
 
 
 def _forcing_mode_traces(forcing, K: int, xgrid, tgrid) -> np.ndarray:
@@ -277,7 +276,7 @@ def _forcing_mode_traces(forcing, K: int, xgrid, tgrid) -> np.ndarray:
         g_c = sine_analyze(_resample_unit(forcing.space, xgrid), K).coeffs[:, None]
         if forcing.time is None:
             return g_c
-        return g_c * np.interp(tgrid, forcing.time.grid, forcing.time.values)
+        return g_c * forcing.time.value_at(tgrid)
     coefs = _sine_coeffs(forcing.xgrid, forcing.values, K, "forcing")
     return np.array([np.interp(tgrid, forcing.tgrid, row) for row in coefs])
 

@@ -201,6 +201,21 @@ class TestDirectCommand:
         _, _, vals = read_grid_csv(tmp_path / "outf" / "u_grid.csv")
         assert_allclose(vals[0], np.sin(np.pi * np.linspace(0, 1, 33)), atol=1e-7)
 
+    def test_sample_file_on_half_the_interval_exits_2(self, tmp_path, capsys):
+        x = np.linspace(0.0, 0.5, 33)
+        table = "\n".join(f"{xi},{np.sin(2 * np.pi * xi)}" for xi in x) + "\n"
+        (tmp_path / "half.csv").write_text(table)
+        for entries in ("psi = file:half.csv\n", "psi = sin(pi*x)\nforcing = file:half.csv\n"):
+            spec = tmp_path / "half.ini"
+            spec.write_text(
+                "[operator]\nalpha = 0.5\ntheta = 0\n"
+                "[domain]\nK = 4\nnx = 32\nnt = 4\n"
+                f"[direct]\n{entries}"
+                "[output]\ndir = outh\n"
+            )
+            assert main(["direct", str(spec)]) == 2
+            assert "sampled on [0, 1]" in capsys.readouterr().err
+
     def test_missing_file_and_sections_exit_2(self, tmp_path, capsys):
         assert main(["direct", str(tmp_path / "nope.ini")]) == 2
         bad = tmp_path / "bad.ini"

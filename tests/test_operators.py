@@ -86,6 +86,18 @@ def test_sampled_function_from_callable_and_value_at():
     assert_allclose(f.value_at(mid), 0.5 * (math.cos(g[3]) + math.cos(g[4])), rtol=1e-14)
 
 
+def test_value_at_reads_arrays_and_points_within_the_coverage_rule():
+    g = np.linspace(0.0, 0.25, 9)
+    f = SampledFunction(g, np.cos(g))
+    t = np.linspace(0.0, 0.25, 31)
+    assert np.array_equal(f.value_at(t), np.interp(t, g, f.values))
+    assert f.value_at(g[-1] * (1.0 + 5e-13)) == f.values[-1]
+    with pytest.raises(ValueError):
+        f.value_at(g[-1] * (1.0 + 2e-12))
+    with pytest.raises(ValueError):
+        f.value_at(np.append(t, g[-1] * (1.0 + 2e-12)))
+
+
 def test_make_time_grid_is_uniform_in_stretched_clock():
     t = make_time_grid(2.0, 128, 0.4)
     assert t[0] == 0.0
@@ -256,6 +268,10 @@ def test_reg_caputo_kills_constants():
     c = SampledFunction(grid, 5.0 * np.ones_like(grid))
     for t in (0.2, 0.9, 1.5):
         assert abs(reg_caputo_hb(c, fp, t)) < 1e-12
+    # at t = 1e-60 and theta = -2 the cusp t^(-rho alpha) is 1e90
+    two = SampledFunction(np.array([0.0, 1e-60, 0.5, 1.0]), np.full(4, 2.0))
+    for t in two.grid[1:]:
+        assert abs(reg_caputo_hb(two, FracParams(0.5, -2.0), t)) < 1e-12
     # while the unregularized derivative of a constant does not vanish
     assert hyper_bessel(c, fp, 1.0) > 0.1
 
@@ -366,6 +382,18 @@ def test_reg_caputo_on_grid_collapsed_sigma_cell_is_finite():
     assert out[2] == out[3]
     assert np.all(np.isfinite(pointwise))
     assert_allclose(pointwise, out[1:], rtol=1e-11, atol=1e-13)
+
+
+def test_reg_caputo_on_grid_deriv_channel_with_underflowed_sigma_node():
+    # theta = -2 maps t = 1e-200 to sigma = t^3 = 0; f = 1 + t, f' = 1
+    fp = FracParams(0.5, -2.0)
+    grid = np.array([0.0, 1e-200, 0.5, 1.0])
+    with np.errstate(all="raise", under="ignore"):
+        out = reg_caputo_on_grid(SampledFunction(grid, 1.0 + grid, np.ones(4)), fp)
+    assert np.all(np.isfinite(out)) and out[1] == 0.0
+    short = np.array([0.0, 0.5, 1.0])
+    want = reg_caputo_on_grid(SampledFunction(short, 1.0 + short, np.ones(3)), fp)
+    assert_allclose(out[2:], want[1:], rtol=1e-12)
 
 
 def test_weighted_integrals_with_first_sigma_node_underflowed():

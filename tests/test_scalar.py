@@ -277,6 +277,23 @@ def test_second_kind_rejects_bad_delta():
         solve_second_kind(f, 1.0, EKParams(1.0, 0.0, -0.5), grid)
 
 
+def test_reads_past_the_sampled_grid_raise():
+    # the coverage rule is relative: 2e-12 past a grid ending at 0.25 is too far
+    grid = np.linspace(0.0, 0.25, 17)
+    f = SampledFunction(grid, 1.0 + grid)
+    past = grid[-1] * (1.0 + 2e-12)
+    longer = np.append(grid[:-1], past)
+    with pytest.raises(ValueError):
+        f.value_at(past)
+    prob = ScalarProblem(FracParams(0.5, 0.0), 1.0, 0.0, f)
+    with pytest.raises(ValueError):
+        solve_scalar(prob, longer)
+    with pytest.raises(ValueError):
+        solve_second_kind(f, 1.0, EKParams(1.0, 0.0, 0.5), longer)
+    with pytest.raises(ValueError):
+        ek_integral(f, EKParams(1.0, 0.0, 0.5), past)
+
+
 # ---------------------------------------------------------------------------
 # composition identity
 

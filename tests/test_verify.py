@@ -18,6 +18,7 @@ from hbdiff.spectral import (
 )
 from hbdiff.verify import (
     VerificationReport,
+    _suite_roundtrip,
     l1_caputo_solve,
     reduction_theta_zero,
     residual_direct,
@@ -167,6 +168,11 @@ def test_roundtrip_multi_mode():
     coeffs[0], coeffs[2], coeffs[4] = 1.0, -0.6, 0.25
     rep = roundtrip_inverse(FracParams(0.45, -0.8), SineSeries(coeffs), 0.7, (16, 32))
     assert rep.passed
+
+
+def test_roundtrip_reports_a_root_mean_square_error():
+    (rep,) = _suite_roundtrip()
+    assert 0.0 < rep.l2_error < rep.max_error
 
 
 def test_roundtrip_zero_source():
