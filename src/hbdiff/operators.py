@@ -147,7 +147,8 @@ class SampledFunction:
         """The interpolant at a float or an array ``t``; raises ValueError for
         a point past the last node by more than 1e-12 of it (``_past_end``)."""
         if _past_end(t, self.grid[-1]):
-            raise ValueError("evaluation point lies beyond the sampled grid")
+            raise ValueError(f"evaluation point {float(np.max(t))!r} lies beyond "
+                             f"the sampled grid, which ends at {float(self.grid[-1])!r}")
         v = np.interp(t, self.grid, self.values)
         return float(v) if np.ndim(v) == 0 else v
 
@@ -181,7 +182,8 @@ def _sigma_profile(f: SampledFunction, beta: float, t: float):
     sig_full = f.grid**beta
     S = t**beta
     if _past_end(S, sig_full[-1]):
-        raise ValueError("evaluation point lies beyond the sampled grid")
+        raise ValueError(f"evaluation point {float(t)!r} lies beyond the sampled "
+                         f"grid, which ends at {float(f.grid[-1])!r}")
     return _clip_profile(sig_full, f.values, min(S, float(sig_full[-1])))
 
 

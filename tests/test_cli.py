@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from hbdiff.cli import Expression, _fmt, _write_csv, main
+import hbdiff.cli as cli
+from hbdiff.cli import Expression, _forcing, _write_csv, main
 from hbdiff.inverse import InverseProblemSpec, solve_inverse
 from hbdiff.operators import FracParams, SampledFunction, make_time_grid
 from hbdiff.special import MLParams, ml_two
@@ -50,6 +51,20 @@ def write_spec(tmp_path, name="spec.ini", out="out", forcing="zero", extra=""):
     path = tmp_path / name
     path.write_text(SPEC.format(out=out, forcing=forcing) + extra)
     return str(path)
+
+
+def _fmt(v: float) -> str:
+    """The per-value rule the CSV writer must reproduce: whole numbers below
+    1e16 in magnitude as integers, everything else as the round-trip repr."""
+    v = float(v)
+    if v == int(v) and abs(v) < 1e16:
+        return str(int(v))
+    return repr(v)
+
+
+def no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def read_grid_csv(path):
@@ -101,6 +116,11 @@ class TestMlCommand:
     def test_bad_parameters_exit_2(self, capsys):
         assert main(["ml", "--alpha", "-3", "--z", "1"]) == 2
         assert main(["ml", "--alpha", "0.5"]) == 2
+
+    def test_overflowing_value_exits_3(self, capsys):
+        assert main(["ml", "--alpha", "0.5", "--z", "1", "--z", "1e300"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and "non-finite value inf at data row 1, column 1 " in captured.err
 
     def test_missing_subcommand_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
@@ -260,6 +280,93 @@ def test_csv_writer_formats_every_value_like_fmt(tmp_path):
     assert lines[0] == "a,b,c" and lines[-1] == ""
     assert lines[1:-1] == [",".join(map(_fmt, r)) for r in zip(vals, vals[::-1], -vals)]
     assert [r.split(",")[0] for r in lines[1:-1]] == ["0", "3", "1e+16", "0.1", "1e-300"]
+
+
+# the repr boundaries: 1e16 and the two sides of the switch to exponent form
+_ADVERSARIAL = [-0.0, 0.0, 1.0, -1.0, 7.0, -12.0, 9999999999999998.0, 1e16, 1e20,
+                5e-324, 1e-4, 9.999999999999999e-05, 0.1]
+
+
+def _no_fork():
+    raise OSError("fork refused")
+
+
+@pytest.mark.parametrize("blocks, fork_fails", [(1, False), (2, False), (3, False), (3, True)])
+def test_csv_writer_is_byte_identical_for_any_block_count(tmp_path, monkeypatch, blocks, fork_fails):
+    rng = np.random.default_rng(blocks)
+    if fork_fails:  # the parent then formats every block itself
+        monkeypatch.setattr(os, "fork", _no_fork)
+    vals = np.array(_ADVERSARIAL + [-v for v in _ADVERSARIAL])
+    table = rng.choice(vals, size=(20_003, 4))  # 20_003 rows: no block count divides them
+    table[::5] = rng.standard_normal((4001, 4)) * 10.0 ** rng.integers(-20, 20, (4001, 4))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(blocks)))
+    assert cli._block_count(table.size) == blocks
+    path = tmp_path / "t.csv"
+    _write_csv(str(path), "a,b,c,d", (table,))
+    want = "a,b,c,d\n" + "".join(",".join(map(_fmt, r)) + "\n" for r in table.tolist())
+    assert path.read_bytes() == want.encode()
+    no_child_left()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_csv_writer_rejects_non_finite_values_before_writing(tmp_path, bad):
+    table = np.zeros((50_000, 2))
+    table[31_234, 1] = bad
+    path = tmp_path / "t.csv"
+    with pytest.raises(ArithmeticError, match=rf"t\.csv: non-finite value {bad} at data row 31234, column 1 "):
+        _write_csv(str(path), "a,b", (table,))
+    assert not path.exists()
+    no_child_left()
+
+
+def test_csv_writer_reaps_children_when_the_open_fails(tmp_path, monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    with pytest.raises(OSError):
+        _write_csv(str(tmp_path), "a", (np.arange(100_000.0),))
+    no_child_left()
+
+
+def test_csv_writer_fails_when_a_child_fails(tmp_path, monkeypatch):
+    parent, lines = os.getpid(), cli._csv_lines
+
+    def child_fails(table):
+        if os.getpid() != parent:
+            raise MemoryError
+        return lines(table)
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(cli, "_csv_lines", child_fails)
+    path = tmp_path / "t.csv"
+    with pytest.raises(RuntimeError, match="exited with status 1"):
+        _write_csv(str(path), "a", (np.arange(100_000.0),))
+    assert not path.exists()
+    no_child_left()
+
+
+def test_non_finite_solution_exits_3_without_a_partial_file(tmp_path, monkeypatch, capsys):
+    def spoiled(spec):
+        sol = solve_direct(spec)
+        sol.values[3, 2] = np.nan
+        return sol
+
+    monkeypatch.setattr(cli, "solve_direct", spoiled)
+    assert main(["direct", write_spec(tmp_path)]) == 3
+    assert "u_grid.csv: non-finite value nan at data row 3, column 3 " in capsys.readouterr().err
+    assert not (tmp_path / "out" / "u_grid.csv").exists()
+
+
+def test_time_independent_forcing_is_parsed_once(monkeypatch):
+    texts, init = [], Expression.__init__
+
+    def counting(self, text):
+        texts.append(text)
+        init(self, text)
+
+    monkeypatch.setattr(Expression, "__init__", counting)
+    x = np.linspace(0.0, 1.0, 9)
+    forcing = _forcing("x*(1-x)", x, np.linspace(0.0, 1.0, 5), ".")
+    assert isinstance(forcing, SeparableForcing) and texts == ["x*(1-x)"]
+    assert_array_equal(forcing.space.values, x * (1 - x))
 
 
 class TestInverseCommand:

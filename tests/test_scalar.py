@@ -283,15 +283,21 @@ def test_reads_past_the_sampled_grid_raise():
     f = SampledFunction(grid, 1.0 + grid)
     past = grid[-1] * (1.0 + 2e-12)
     longer = np.append(grid[:-1], past)
-    with pytest.raises(ValueError):
+    # every failed read names the point and the grid's last node
+    msg = r"evaluation point 0\.2500000000005 lies beyond the sampled grid, which ends at 0\.25$"
+    with pytest.raises(ValueError, match=msg):
         f.value_at(past)
+    with pytest.raises(ValueError, match=msg):
+        f.value_at(np.array([0.1, past]))
     prob = ScalarProblem(FracParams(0.5, 0.0), 1.0, 0.0, f)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=msg):
         solve_scalar(prob, longer)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=msg):
         solve_second_kind(f, 1.0, EKParams(1.0, 0.0, 0.5), longer)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=msg):
         ek_integral(f, EKParams(1.0, 0.0, 0.5), past)
+    with pytest.raises(ValueError, match=msg):
+        prabhakar_compose(f, 0.5, 1.0, 0.7, -1.0, past)
 
 
 # ---------------------------------------------------------------------------
