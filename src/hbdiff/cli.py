@@ -113,13 +113,16 @@ class Expression:
     """Compiled restricted expression; knows which variables it uses."""
 
     def __init__(self, text: str):
+        self.used: set = set()
         try:
             tree = ast.parse(text, mode="eval")
+            _validate_expr(tree, self.used)
+            self._code = compile(tree, "<spec>", "eval")
         except SyntaxError as exc:
             raise ValueError(f"cannot parse expression {text!r}: {exc.msg}") from None
-        self.used: set = set()
-        _validate_expr(tree, self.used)
-        self._code = compile(tree, "<spec>", "eval")
+        except (RecursionError, MemoryError):
+            # the parser, the validator and the compiler all recurse per level
+            raise ValueError(f"expression {text[:40]!r}... is nested too deeply") from None
         self.text = text
 
     def __call__(self, x=None, t=None):

@@ -14,9 +14,12 @@ and matching both ends gives
 
 The denominator 1 - E_k lies in (0, 1) for every mode and tends to 1 as
 k grows, so high modes are well conditioned; a configurable margin guards
-the short-horizon edge cases.  All K decay traces come from the decay
-table the direct solver uses for constant forcing (one Mittag-Leffler
-call); E_k is its last column, and the field is synthesized as there.
+the short-horizon edge cases.  All K decay traces come from one
+:func:`hbdiff.scalar.solve_scalar_batch` call with unit data and no
+forcing (one Mittag-Leffler call); E_k is its last column.  The traces
+C_k E + f_k/(k pi)^2 are formed here from that table rather than by the
+batch's constant-forcing path, since f_k is known only after E_k(T), and
+the field is synthesized as in the direct solver.
 
 A source that does not vanish at the walls has sine coefficients that
 decay only like 1/k, so the bare K-term series sum f_k sin(k pi x)

@@ -29,8 +29,6 @@ import numpy as np
 from .special import ml_two_array
 
 __all__ = [
-    "lag_convolve",
-    "ml_lag_weights",
     "ml_product_matrix",
     "ml_product_row",
     "power_integral_at",

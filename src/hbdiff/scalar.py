@@ -15,6 +15,10 @@ uniform in s, applied by FFT to many problems at once, so the computed
 solution is exact (to rounding and evaluator accuracy) for the
 piecewise-linear interpolant of the forcing samples.  :func:`solve_scalar`
 and :func:`solve_second_kind` share one clock path, :func:`_on_clock`.
+A forcing constant in time needs no convolution: the trace relaxes toward
+f/lam in closed form, coded once in :func:`solve_scalar_batch` (for a
+(K, 1) forcing column) and used by :func:`solve_scalar_constant` and the
+direct solver.
 
 Also provided: the explicit resolvent solution of the second-kind
 integral equation with the weighted fractional integral, and an
@@ -51,7 +55,6 @@ __all__ = [
     "lambda_star",
     "prabhakar_compose",
     "solve_scalar",
-    "solve_scalar_batch",
     "solve_scalar_constant",
     "solve_second_kind",
 ]
@@ -120,21 +123,32 @@ def _forcing_samples(forcing, t_nodes: np.ndarray):
 
 
 def solve_scalar_batch(fp: FracParams, lam, u0, tgrid, forcing=None) -> np.ndarray:
-    """Traces (K, len(tgrid)) of the K problems with rates ``lam``, initial
-    values ``u0`` and forcing rows ``forcing`` (None, (K, len(tgrid)), or
-    one shared row) on a ``tgrid`` uniform in s = t^rho (make_time_grid).
-    One Mittag-Leffler table and one FFT serve all K kernels: O(K N log N)
-    time, O(K N) memory.
+    """Traces (K, len(tgrid)) of the K problems with rates ``lam`` and
+    initial values ``u0``; u[:, 0] = u0 exactly.  ``forcing`` is None,
+    rows (K, len(tgrid)) or one shared row, convolved on a ``tgrid``
+    uniform in s = t^rho (make_time_grid), or a (K, 1) column f constant in
+    time.  Each constant-forced trace relaxes toward f/lam in closed form,
+
+        u(t) = (u0 - f/lam) E_a(ls s^a) + f/lam,
+
+    so every rate must be nonzero on that path.  One Mittag-Leffler table
+    and one FFT serve all K kernels: O(K N log N) time, O(K N) memory.
     """
     alpha, rho = fp.alpha, fp.rho
     s = np.asarray(tgrid, dtype=float) ** rho
-    ls = lambda_star(fp, np.asarray(lam, dtype=float))
+    lam = np.asarray(lam, dtype=float)
+    ls = lambda_star(fp, lam)
     u0 = np.asarray(u0, dtype=float)
     z = ls[:, None] * s**alpha
-    u = u0[:, None] * ml_one_array(alpha, z.ravel()).reshape(z.shape)
-    if forcing is not None:
-        far, near = ml_lag_weights(s, alpha, alpha, ls)
-        u += lag_convolve(far, near, forcing) / rho**alpha
+    decay = ml_one_array(alpha, z.ravel()).reshape(z.shape)
+    if np.shape(forcing)[1:] == (1,):
+        eq = np.asarray(forcing, dtype=float)[:, 0] / lam
+        u = (u0 - eq)[:, None] * decay + eq[:, None]
+    else:
+        u = u0[:, None] * decay
+        if forcing is not None:
+            far, near = ml_lag_weights(s, alpha, alpha, ls)
+            u += lag_convolve(far, near, forcing) / rho**alpha
     u[:, 0] = u0
     return u
 
@@ -165,10 +179,11 @@ def solve_scalar_constant(
     """Closed-form solution for constant forcing: the trajectory relaxes
     from u0 toward the equilibrium f0/lam along a Mittag-Leffler decay,
 
-        u(t) = (u0 - f0/lam) E_a(ls * t^(rho a)) + f0/lam.
+        u(t) = (u0 - f0/lam) E_a(ls * t^(rho a)) + f0/lam,
 
-    Rejects lam = 0, where the equilibrium does not exist; use
-    solve_scalar for that degenerate case.
+    the constant-column path of :func:`solve_scalar_batch` with K = 1, on
+    any time grid; u(0) = u0 exactly.  Rejects lam = 0, where the
+    equilibrium does not exist; use solve_scalar for that degenerate case.
     """
     if lam == 0.0:
         raise ValueError(
@@ -178,10 +193,7 @@ def solve_scalar_constant(
     if not (math.isfinite(lam) and math.isfinite(u0) and math.isfinite(f0)):
         raise ValueError("solve_scalar_constant: parameters must be finite")
     tgrid = _check_grid(tgrid, "time grid")
-    s = tgrid**fp.rho
-    ls = lambda_star(fp, lam)
-    u = (u0 - f0 / lam) * ml_one_array(fp.alpha, ls * s**fp.alpha) + f0 / lam
-    return SampledFunction(tgrid, u)
+    return SampledFunction(tgrid, solve_scalar_batch(fp, [lam], [u0], tgrid, [[f0]])[0])
 
 
 def solve_second_kind(

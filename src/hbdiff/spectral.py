@@ -15,6 +15,9 @@ where D^alpha is the regularized weighted-derivative power built from
 with F_k the forcing convolution; the field is re-assembled as
 u(x, t) = sum_k u_k(t) sin(k pi x).  All K traces come from one
 :func:`hbdiff.scalar.solve_scalar_batch` call (one ML table, one lag FFT).
+A time-independent forcing is passed as its (K, 1) coefficient column,
+for which that call returns the closed-form relaxation
+(psi_k - g_k/lam_k) E + g_k/lam_k; the formula lives there only.
 :mod:`hbdiff.inverse` shares the synthesis, the spec checks and that call.
 
 Coefficient extraction is an exact DST-I by real FFT on uniform grids:
@@ -271,7 +274,8 @@ def _resample_unit(f: SampledFunction, xgrid: np.ndarray) -> SampledFunction:
 def _forcing_mode_traces(forcing, K: int, xgrid, tgrid) -> np.ndarray:
     """Sine coefficient traces f_k(t) of the forcing on ``tgrid``, shape
     (K, len(tgrid)); a time-independent forcing gives its (K, 1) column
-    g_k, which broadcasts.  A tensor forcing's time rows share one DST-I."""
+    g_k, which broadcasts and which solve_scalar_batch reads as constant in
+    time.  A tensor forcing's time rows share one DST-I."""
     if isinstance(forcing, SeparableForcing):
         g_c = sine_analyze(_resample_unit(forcing.space, xgrid), K).coeffs[:, None]
         if forcing.time is None:
@@ -279,19 +283,6 @@ def _forcing_mode_traces(forcing, K: int, xgrid, tgrid) -> np.ndarray:
         return g_c * forcing.time.value_at(tgrid)
     coefs = _sine_coeffs(forcing.xgrid, forcing.values, K, "forcing")
     return np.array([np.interp(tgrid, forcing.tgrid, row) for row in coefs])
-
-
-def _mode_traces(spec: DirectProblemSpec, psi_c: np.ndarray, tgrid, xgrid) -> np.ndarray:
-    K = spec.modes
-    lam = (np.arange(1, K + 1) * math.pi) ** 2
-    forcing = spec.forcing
-    rows = None if forcing is None else _forcing_mode_traces(forcing, K, xgrid, tgrid)
-    if isinstance(forcing, SeparableForcing) and forcing.time is None:
-        # solve_scalar_constant's closed form, all modes on one decay table
-        eq = rows[:, 0] / lam
-        decay = solve_scalar_batch(spec.fp, lam, np.ones(K), tgrid)
-        return (psi_c - eq)[:, None] * decay + eq[:, None]
-    return solve_scalar_batch(spec.fp, lam, psi_c, tgrid, rows)
 
 
 def solve_direct(spec: DirectProblemSpec) -> SolutionField:
@@ -309,5 +300,7 @@ def solve_direct(spec: DirectProblemSpec) -> SolutionField:
     all_c = sine_analyze(_resample_unit(spec.psi, xgrid), min(4 * K, spec.nx - 1)).coeffs
     psi_c, tail = all_c[:K], float(np.sum(np.abs(all_c[K:])))
 
-    U = _mode_traces(spec, psi_c, tgrid, xgrid)
+    lam = (np.arange(1, K + 1) * math.pi) ** 2
+    rows = None if spec.forcing is None else _forcing_mode_traces(spec.forcing, K, xgrid, tgrid)
+    U = solve_scalar_batch(spec.fp, lam, psi_c, tgrid, rows)
     return SolutionField(xgrid, tgrid, _sine_values(U, xgrid), U, tail)

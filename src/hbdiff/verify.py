@@ -87,11 +87,14 @@ def _norms(err: np.ndarray):
     return float(np.max(err)), float(np.sqrt(np.mean(err**2)))
 
 
-def _rate(coarse: float, fine: float):
-    # meaningless once either level sits at roundoff
-    if coarse < 1e-13 or fine < 1e-13:
-        return None
-    return math.log2(coarse / fine)
+def _report(name: str, grids, errs, tol: float) -> VerificationReport:
+    """The verdict of one check from its ``(max, l2)`` error pairs, one per
+    resolution: the finest level's norms against ``tol``, and the rate
+    log2(first max / last max) when there are two levels, neither of them
+    at roundoff."""
+    (first, _), (mx, l2) = errs[0], errs[-1]
+    rate = None if len(errs) < 2 or min(first, mx) < 1e-13 else math.log2(first / mx)
+    return VerificationReport(name, tuple(grids), mx, l2, tol, mx <= tol, rate)
 
 
 # ---------------------------------------------------------------------------
@@ -186,20 +189,11 @@ def reduction_theta_zero(alpha: float, lam: float, tgrid) -> VerificationReport:
     fractional derivative, so the scalar solver must reproduce the pure
     relaxation trace computed directly from the Mittag-Leffler function,
     to 1e-10."""
-    tol = 1e-10
     tgrid = _check_grid(tgrid, "time grid")
     fp = FracParams(alpha, 0.0)
     u = solve_scalar(ScalarProblem(fp, lam, 1.0), tgrid)
     want = ml_one_array(alpha, -lam * tgrid**alpha)
-    mx, l2 = _norms(u.values - want)
-    return VerificationReport(
-        name="reduction-theta-zero",
-        grids=(tgrid.size - 1,),
-        max_error=mx,
-        l2_error=l2,
-        tol=tol,
-        passed=mx <= tol,
-    )
+    return _report("reduction-theta-zero", (tgrid.size - 1,), [_norms(u.values - want)], 1e-10)
 
 
 def residual_direct(field: SolutionField, spec: DirectProblemSpec) -> VerificationReport:
@@ -216,7 +210,6 @@ def residual_direct(field: SolutionField, spec: DirectProblemSpec) -> Verificati
     the residual is meaningful (and refines toward zero) only on a window
     bounded away from the origin.
     """
-    tol, start = 1e-2, 0.05
     K = field.modes.shape[0]
     tgrid = field.tgrid
     lam = (np.arange(1, K + 1) * math.pi) ** 2
@@ -226,16 +219,8 @@ def residual_direct(field: SolutionField, spec: DirectProblemSpec) -> Verificati
     res -= f
     R = _sine_values(res, field.xgrid)
     sclock = tgrid**spec.fp.rho
-    window = sclock >= start * sclock[-1]
-    mx, l2 = _norms(R[window])
-    return VerificationReport(
-        name="residual-direct",
-        grids=(tgrid.size - 1,),
-        max_error=mx,
-        l2_error=l2,
-        tol=tol,
-        passed=mx <= tol,
-    )
+    window = sclock >= 0.05 * sclock[-1]
+    return _report("residual-direct", (tgrid.size - 1,), [_norms(R[window])], 1e-2)
 
 
 def roundtrip_inverse(fp: FracParams, source: SineSeries, horizon: float, resolutions) -> VerificationReport:
@@ -263,17 +248,7 @@ def roundtrip_inverse(fp: FracParams, source: SineSeries, horizon: float, resolu
         want[: source.modes] = source.coeffs
         # relative to max(|want_k|, max|coeffs|); absolute for a zero source
         errs.append(_norms((res.source.coeffs - want) / np.maximum(np.abs(want), scale or 1.0)))
-    mx, l2 = errs[-1]
-    rate = _rate(errs[0][0], mx) if len(errs) >= 2 else None
-    return VerificationReport(
-        name="roundtrip-inverse",
-        grids=tuple(resolutions),
-        max_error=mx,
-        l2_error=l2,
-        tol=1e-4,
-        passed=mx <= 1e-4,
-        rate=rate,
-    )
+    return _report("roundtrip-inverse", resolutions, errs, 1e-4)
 
 
 # ---------------------------------------------------------------------------
@@ -299,18 +274,7 @@ def _suite_volterra() -> list:
             forcing = SampledFunction(t, 1.0 + t**fp.rho - 0.5 * t ** (2.0 * fp.rho))
             prob = ScalarProblem(fp, lam, 0.7, forcing)
             errs.append(_norms(solve_scalar(prob, t).values - volterra_oracle(prob, t).values))
-        mx, l2 = errs[-1]
-        out.append(
-            VerificationReport(
-                name="volterra-oracle",
-                grids=grids,
-                max_error=mx,
-                l2_error=l2,
-                tol=1e-4,
-                passed=mx <= 1e-4,
-                rate=_rate(errs[0][0], mx),
-            )
-        )
+        out.append(_report("volterra-oracle", grids, errs, 1e-4))
     return out
 
 

@@ -99,6 +99,12 @@ class TestExpressionGrammar:
         with pytest.raises(ValueError):
             Expression("sin(pi*x")
 
+    # too deep for the parser's stack, its memory, and the validator's recursion
+    @pytest.mark.parametrize("text", ["-" * 5000 + "x", "x" + "**x" * 3000, "-" * 1500 + "x"])
+    def test_rejects_too_deep_nesting(self, text):
+        with pytest.raises(ValueError, match="nested too deeply"):
+            Expression(text)
+
 
 class TestMlCommand:
     def test_rows_match_library(self, capsys):
@@ -129,6 +135,14 @@ class TestMlCommand:
 
 
 class TestDirectCommand:
+    @pytest.mark.parametrize("psi", ["-" * 5000 + "x", "x" + "**x" * 3000])
+    def test_too_deeply_nested_profile_exits_2(self, tmp_path, capsys, psi):
+        spec = tmp_path / "spec.ini"
+        spec.write_text(SPEC.format(out="out", forcing="zero").replace("sin(pi*x) + 0.3*sin(2*pi*x)", psi))
+        assert main(["direct", str(spec)]) == 2
+        err = capsys.readouterr().err
+        assert "nested too deeply" in err and "Traceback" not in err
+
     def test_outputs_exist_and_layout(self, tmp_path):
         spec = write_spec(tmp_path)
         assert main(["direct", spec]) == 0

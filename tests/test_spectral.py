@@ -217,6 +217,7 @@ def test_direct_constant_forcing_equals_per_mode_closed_form():
     g_c = sine_analyze(g, K).coeffs
     want = [solve_scalar_constant(fp, *r, sol.tgrid).values for r in zip(lam, psi_c, g_c)]
     assert_array_equal(sol.modes, np.array(want))
+    assert_array_equal(sol.modes[:, 0], psi_c)  # u_k(0) = psi_k exactly
 
 
 def test_direct_separable_with_time_matches_constant_path():

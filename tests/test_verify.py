@@ -176,8 +176,10 @@ def test_roundtrip_reports_a_root_mean_square_error():
 
 
 def test_roundtrip_zero_source():
-    rep = roundtrip_inverse(FracParams(0.5, 0.0), SineSeries([0.0]), 1.0, (8,))
-    assert rep.max_error == 0.0 and rep.passed
+    # both levels exact: a rate between roundoff levels means nothing
+    rep = roundtrip_inverse(FracParams(0.5, 0.0), SineSeries([0.0]), 1.0, (8, 16))
+    assert rep.grids == (8, 16)
+    assert rep.max_error == 0.0 and rep.rate is None and rep.passed
 
 
 # ---------------------------------------------------------------------------
