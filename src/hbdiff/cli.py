@@ -45,6 +45,8 @@ from __future__ import annotations
 import argparse
 import ast
 import configparser
+import contextlib
+import io
 import json
 import math
 import os
@@ -213,9 +215,11 @@ def _out_dir(cp: configparser.ConfigParser, spec_dir: str) -> str:
     return path
 
 
-# Forking and reaping one writer costs about 3 ms on 2 vCPU, a tenth of the
-# time it takes to format this many values, so no row block is smaller.
-_BLOCK_VALUES = 20_000
+# Forking and reaping one writer costs 3.1-3.8 ms on 2 vCPU, about what
+# formatting 2,000 values costs.  A pass of 10,000 values took 17-20 ms in
+# one block and 14-16 ms in two; from 5,000 to 8,000 values two blocks won
+# or lost by noise.  So a row block holds at least this many values.
+_BLOCK_VALUES = 5_000
 
 
 def _csv_lines(table: np.ndarray):
@@ -241,8 +245,9 @@ def _check_finite(table: np.ndarray, name: str) -> None:
 
 
 def _block_count(values: int) -> int:
-    """Row blocks for a table of ``values`` entries: one per available core,
-    none under _BLOCK_VALUES values, and one where os.fork is missing."""
+    """Row blocks for a writer pass over ``values`` entries in all: one per
+    available core, none under _BLOCK_VALUES values, and one where os.fork
+    is missing."""
     if not hasattr(os, "fork"):
         return 1
     try:
@@ -252,10 +257,13 @@ def _block_count(values: int) -> int:
     return max(1, min(cores, values // _BLOCK_VALUES))
 
 
-def _fork_writer(block: np.ndarray, inherited: list):
-    """(pid, read end of a pipe) of a child that writes ``block``'s CSV lines
-    into the pipe and exits, or (None, None) where the fork fails.  The child
-    closes the read ends in ``inherited``, so each pipe has one reader."""
+def _fork_writer(parts: list, inherited: list):
+    """(pid, read end of a pipe) of a child that formats every 2-D array in
+    ``parts`` by _csv_lines, then sends their byte lengths (8 bytes each,
+    little-endian) followed by the texts in order, and exits; or (None, None)
+    where the fork fails.  All text is formatted before any is sent, so a
+    full pipe never stalls the formatting.  The child closes the read ends in
+    ``inherited``, so each pipe has one reader."""
     r, w = os.pipe()
     try:
         pid = os.fork()
@@ -268,9 +276,11 @@ def _fork_writer(block: np.ndarray, inherited: list):
         try:
             for fd in inherited + [r]:
                 os.close(fd)
-            text = "".join(line + "\n" for line in _csv_lines(block)).encode()
+            texts = ["".join(line + "\n" for line in _csv_lines(p)).encode() for p in parts]
             with open(w, "wb") as pipe:
-                pipe.write(text)
+                pipe.write(b"".join(len(t).to_bytes(8, "little") for t in texts))
+                for t in texts:
+                    pipe.write(t)
             code = 0
         finally:
             os._exit(code)
@@ -278,52 +288,76 @@ def _fork_writer(block: np.ndarray, inherited: list):
     return pid, r
 
 
-def _write_csv(path: str, header: str, columns) -> None:
-    """One header line, then row i holds entry i of every column (a 2-D
-    column contributes each of its own columns), formatted by _csv_lines.
+def _pipe_copy(fd: int, sink, size: int) -> None:
+    """Move ``size`` bytes from the pipe ``fd`` into ``sink``, fewer where the
+    pipe ends first: its writer failed, and its exit status says so."""
+    while size and (chunk := os.read(fd, min(size, 1 << 20))):
+        sink.write(chunk)
+        size -= len(chunk)
 
-    Raises FloatingPointError, before the file is opened, if a value is not
-    finite.  The rows are cut into at most one block per available core
-    (_block_count).  Forked children format blocks 2..n, and the parent
-    writes block 1 row by row and then copies each child's pipe in order,
-    so the bytes do not depend on the core count.  Every child is reaped
-    before this returns or raises; one that fails raises RuntimeError and
-    removes the file."""
-    table = np.column_stack(columns).astype(float, copy=False)
-    _check_finite(table, path)
-    n = _block_count(table.size)
-    cuts = [len(table) * b // n for b in range(n + 1)]
-    blocks = [(0, cuts[1], None)]  # (first row, end row, read fd; None where the parent formats)
-    pids, fds = [], []
+
+def _write_tables(out: str, tables) -> None:
+    """Write each (name, header, columns) of ``tables`` as the file
+    out/name: one header line, then row i holds entry i of every column (a
+    2-D column contributes each of its own columns), formatted by _csv_lines.
+
+    Raises FloatingPointError naming the file, before any file is opened or
+    any child forked, if a value of any table is not finite.  Every table is
+    cut into the same _block_count(total values) row blocks, and one forked
+    child per block after the first (_fork_writer) formats that block of
+    every table.  The parent writes each header and its own first block
+    straight into the files, then appends each child's parts in block
+    order, so the bytes do not depend on the core count.  Every child is
+    reaped before this returns or raises; one that fails raises RuntimeError,
+    and any failure removes every file of the pass."""
+    paths = [os.path.join(out, name) for name, _, _ in tables]
+    stacked = [np.column_stack(columns).astype(float, copy=False) for _, _, columns in tables]
+    for path, table in zip(paths, stacked):
+        _check_finite(table, path)
+    n = _block_count(sum(table.size for table in stacked))
+    cuts = [[len(table) * b // n for b in range(n + 1)] for table in stacked]
+    blocks = [[t[c[b]:c[b + 1]] for t, c in zip(stacked, cuts)] for b in range(n)]
+    pids, fds, files, done = [], [], [], False
     try:
-        for lo, hi in zip(cuts[1:-1], cuts[2:]):
-            pid, fd = _fork_writer(table[lo:hi], fds)
+        readers = [None]  # per block, the read fd of its writer; None where the parent formats it
+        for parts in blocks[1:]:
+            pid, fd = _fork_writer(parts, fds)
             if pid is not None:
                 pids.append(pid)
                 fds.append(fd)
-            blocks.append((lo, hi, fd))
-        with open(path, "wb") as fh:
-            fh.write(header.encode() + b"\n")
-            for lo, hi, fd in blocks:
+            readers.append(fd)
+        with contextlib.ExitStack() as stack:
+            for path in paths:
+                files.append(stack.enter_context(open(path, "wb")))
+            for fh, (_, header, _) in zip(files, tables):
+                fh.write(header.encode() + b"\n")
+            for fd, parts in zip(readers, blocks):
                 if fd is None:
-                    for line in _csv_lines(table[lo:hi]):
-                        fh.write(line.encode() + b"\n")
-                else:
-                    while chunk := os.read(fd, 1 << 20):
-                        fh.write(chunk)
+                    for fh, part in zip(files, parts):
+                        for line in _csv_lines(part):
+                            fh.write(line.encode() + b"\n")
+                    continue
+                sizes = io.BytesIO()
+                _pipe_copy(fd, sizes, 8 * len(files))
+                for i, fh in enumerate(files):
+                    _pipe_copy(fd, fh, int.from_bytes(sizes.getvalue()[8 * i:8 * i + 8], "little"))
+        done = True
     finally:
         for fd in fds:
             os.close(fd)
         codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
+        if not done or any(codes):
+            for fh in files:
+                os.remove(fh.name)
     if any(codes):
-        os.remove(path)
-        raise RuntimeError(f"{path}: a row-block writer exited with status {next(c for c in codes if c)}")
+        raise RuntimeError(
+            f"{', '.join(paths)}: a row-block writer exited with status {next(c for c in codes if c)}")
 
 
-def _write_field(out: str, field) -> None:
-    """u_grid.csv: the x nodes across, then one row t, u(x, t) per time."""
+def _field_table(field):
+    """The u_grid.csv table: the x nodes across, then one row t, u(x, t) per time."""
     header = "x\\t," + next(_csv_lines(field.xgrid[None, :]))
-    _write_csv(os.path.join(out, "u_grid.csv"), header, (field.tgrid, field.values))
+    return "u_grid.csv", header, (field.tgrid, field.values)
 
 
 def _write_jsonl(path: str, records) -> None:
@@ -362,9 +396,8 @@ def _cmd_direct(args) -> int:
     )
     sol = solve_direct(spec)
     out = _out_dir(cp, spec_dir)
-    _write_field(out, sol)
     header = "t," + ",".join(f"u_{k}" for k in range(1, modes + 1))
-    _write_csv(os.path.join(out, "mode_traces.csv"), header, (sol.tgrid, sol.modes.T))
+    _write_tables(out, [_field_table(sol), ("mode_traces.csv", header, (sol.tgrid, sol.modes.T))])
     _write_jsonl(
         os.path.join(out, "diagnostics.jsonl"),
         [
@@ -392,14 +425,13 @@ def _cmd_inverse(args) -> int:
     spec = InverseProblemSpec(fp, psi, phi, horizon, modes=modes, nx=nx, nt=nt)
     res = solve_inverse(spec)
     out = _out_dir(cp, spec_dir)
-    _write_field(out, res.u)
     source = reconstruct_source_field(res, xgrid)
-    _write_csv(os.path.join(out, "source.csv"), "x,f", (source.grid, source.values))
-    _write_csv(
-        os.path.join(out, "mode_table.csv"),
-        "k,psi,phi,transient,source",
-        (np.arange(1, modes + 1), res.profile_coeffs.T, res.transient, res.source.coeffs),
-    )
+    _write_tables(out, [
+        _field_table(res.u),
+        ("source.csv", "x,f", (source.grid, source.values)),
+        ("mode_table.csv", "k,psi,phi,transient,source",
+         (np.arange(1, modes + 1), res.profile_coeffs.T, res.transient, res.source.coeffs)),
+    ])
     diag = {"record": "inverse", "alpha": fp.alpha, "theta": fp.theta, "horizon": horizon}
     diag.update(res.diagnostics)
     _write_jsonl(os.path.join(out, "diagnostics.jsonl"), [diag])

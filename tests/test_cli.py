@@ -10,7 +10,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 import hbdiff.cli as cli
-from hbdiff.cli import Expression, _forcing, _write_csv, main
+from hbdiff.cli import Expression, _forcing, _write_tables, main
 from hbdiff.inverse import InverseProblemSpec, solve_inverse
 from hbdiff.operators import FracParams, SampledFunction, make_time_grid
 from hbdiff.special import MLParams, ml_two
@@ -288,9 +288,8 @@ class TestDirectCommand:
 
 def test_csv_writer_formats_every_value_like_fmt(tmp_path):
     vals = np.array([-0.0, 3.0, 1e16, 0.1, 1e-300])
-    path = tmp_path / "t.csv"
-    _write_csv(str(path), "a,b,c", (vals, np.column_stack([vals[::-1], -vals])))
-    lines = path.read_text().split("\n")
+    _write_tables(str(tmp_path), [("t.csv", "a,b,c", (vals, np.column_stack([vals[::-1], -vals])))])
+    lines = (tmp_path / "t.csv").read_text().split("\n")
     assert lines[0] == "a,b,c" and lines[-1] == ""
     assert lines[1:-1] == [",".join(map(_fmt, r)) for r in zip(vals, vals[::-1], -vals)]
     assert [r.split(",")[0] for r in lines[1:-1]] == ["0", "3", "1e+16", "0.1", "1e-300"]
@@ -305,20 +304,34 @@ def _no_fork():
     raise OSError("fork refused")
 
 
+def _pool(tmp_path, rows=(100_000, 3, 1)):
+    """(name, header, columns) tables of one writer pass, and their paths."""
+    tables = [(f"t{i}.csv", "a", (np.arange(float(r)),)) for i, r in enumerate(rows)]
+    return tables, [tmp_path / name for name, _, _ in tables]
+
+
 @pytest.mark.parametrize("blocks, fork_fails", [(1, False), (2, False), (3, False), (3, True)])
 def test_csv_writer_is_byte_identical_for_any_block_count(tmp_path, monkeypatch, blocks, fork_fails):
     rng = np.random.default_rng(blocks)
-    if fork_fails:  # the parent then formats every block itself
-        monkeypatch.setattr(os, "fork", _no_fork)
+    forks, fork = [], _no_fork if fork_fails else os.fork  # refused: the parent formats every block
+
+    def counted():
+        forks.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
     vals = np.array(_ADVERSARIAL + [-v for v in _ADVERSARIAL])
-    table = rng.choice(vals, size=(20_003, 4))  # 20_003 rows: no block count divides them
-    table[::5] = rng.standard_normal((4001, 4)) * 10.0 ** rng.integers(-20, 20, (4001, 4))
+    # 20_003 rows: no block count divides them; 7 rows: uneven blocks; 1 row: empty blocks
+    tables = [rng.choice(vals, size=(rows, cols)) for rows, cols in ((20_003, 4), (7, 3), (1, 2))]
+    tables[0][::5] = rng.standard_normal((4001, 4)) * 10.0 ** rng.integers(-20, 20, (4001, 4))
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(blocks)))
-    assert cli._block_count(table.size) == blocks
-    path = tmp_path / "t.csv"
-    _write_csv(str(path), "a,b,c,d", (table,))
-    want = "a,b,c,d\n" + "".join(",".join(map(_fmt, r)) + "\n" for r in table.tolist())
-    assert path.read_bytes() == want.encode()
+    assert cli._block_count(sum(t.size for t in tables)) == blocks
+    headers = ["a,b,c,d", "e,f,g", "h,i"]
+    _write_tables(str(tmp_path), [(f"t{i}.csv", h, (t,)) for i, (h, t) in enumerate(zip(headers, tables))])
+    for i, (header, table) in enumerate(zip(headers, tables)):
+        want = header + "\n" + "".join(",".join(map(_fmt, r)) + "\n" for r in table.tolist())
+        assert (tmp_path / f"t{i}.csv").read_bytes() == want.encode()
+    assert len(forks) == blocks - 1  # one writer per block after the first, for all tables
     no_child_left()
 
 
@@ -326,17 +339,21 @@ def test_csv_writer_is_byte_identical_for_any_block_count(tmp_path, monkeypatch,
 def test_csv_writer_rejects_non_finite_values_before_writing(tmp_path, bad):
     table = np.zeros((50_000, 2))
     table[31_234, 1] = bad
-    path = tmp_path / "t.csv"
+    tables, paths = _pool(tmp_path)
+    tables.append(("t.csv", "a,b", (table,)))  # the last table is checked before any file opens
     with pytest.raises(ArithmeticError, match=rf"t\.csv: non-finite value {bad} at data row 31234, column 1 "):
-        _write_csv(str(path), "a,b", (table,))
-    assert not path.exists()
+        _write_tables(str(tmp_path), tables)
+    assert not any(p.exists() for p in paths + [tmp_path / "t.csv"])
     no_child_left()
 
 
 def test_csv_writer_reaps_children_when_the_open_fails(tmp_path, monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    tables, paths = _pool(tmp_path)
+    paths[1].mkdir()  # the second file cannot be opened
     with pytest.raises(OSError):
-        _write_csv(str(tmp_path), "a", (np.arange(100_000.0),))
+        _write_tables(str(tmp_path), tables)
+    assert not paths[0].exists() and not paths[2].exists()
     no_child_left()
 
 
@@ -350,10 +367,10 @@ def test_csv_writer_fails_when_a_child_fails(tmp_path, monkeypatch):
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     monkeypatch.setattr(cli, "_csv_lines", child_fails)
-    path = tmp_path / "t.csv"
+    tables, paths = _pool(tmp_path)
     with pytest.raises(RuntimeError, match="exited with status 1"):
-        _write_csv(str(path), "a", (np.arange(100_000.0),))
-    assert not path.exists()
+        _write_tables(str(tmp_path), tables)
+    assert not any(p.exists() for p in paths)
     no_child_left()
 
 
@@ -367,6 +384,19 @@ def test_non_finite_solution_exits_3_without_a_partial_file(tmp_path, monkeypatc
     assert main(["direct", write_spec(tmp_path)]) == 3
     assert "u_grid.csv: non-finite value nan at data row 3, column 3 " in capsys.readouterr().err
     assert not (tmp_path / "out" / "u_grid.csv").exists()
+
+
+def test_non_finite_mode_trace_exits_3_before_any_table_is_written(tmp_path, monkeypatch, capsys):
+    def spoiled(spec):
+        sol = solve_direct(spec)
+        sol.modes[1, 5] = np.nan
+        return sol
+
+    monkeypatch.setattr(cli, "solve_direct", spoiled)
+    assert main(["direct", write_spec(tmp_path)]) == 3
+    assert "mode_traces.csv: non-finite value nan at data row 5, column 2 " in capsys.readouterr().err
+    assert not (tmp_path / "out" / "u_grid.csv").exists()
+    assert not (tmp_path / "out" / "mode_traces.csv").exists()
 
 
 def test_time_independent_forcing_is_parsed_once(monkeypatch):

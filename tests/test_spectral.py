@@ -21,6 +21,8 @@ from hbdiff.spectral import (
     SineSeries,
     SolutionField,
     TensorForcing,
+    _forcing_mode_traces,
+    _sine_coeffs,
     mode_forcing_term,
     sine_analyze,
     sine_synthesize,
@@ -247,6 +249,21 @@ def test_direct_tensor_matches_separable():
     sol_t = solve_direct(DirectProblemSpec(fp, psi, tensor, modes=10, nx=64, nt=128))
     sol_s = solve_direct(DirectProblemSpec(fp, psi, sep, modes=10, nx=64, nt=128))
     assert np.max(np.abs(sol_t.values - sol_s.values)) < 1e-11
+
+
+def test_tensor_forcing_traces_interpolate_like_np_interp():
+    # on a time grid that is not the forcing's own: nodes hit exactly, points
+    # between nodes, a point held at the end, and rows of every sign
+    rng = np.random.default_rng(7)
+    x = unit_grid(32)
+    tf = np.cumsum(np.r_[0.0, rng.uniform(0.01, 0.2, 40)])
+    values = rng.standard_normal((tf.size, x.size)) * 10.0 ** rng.integers(-8, 8, (tf.size, 1))
+    forcing = TensorForcing(x, tf, values)
+    t = np.sort(np.r_[np.linspace(0.0, tf[-1], 97), tf[::3], tf[-1] * (1 + 1e-13)])
+    coefs = _sine_coeffs(x, values, 12, "forcing")
+    want = np.array([np.interp(t, tf, row) for row in coefs])
+    got = _forcing_mode_traces(forcing, 12, x, t)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def test_direct_long_time_grid_memory():
