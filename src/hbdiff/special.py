@@ -11,11 +11,20 @@ is evaluated by one numpy array function in double precision:
 * the compensated Taylor sum on the disc |z| <= max(1, b^a), accepted only
   where its largest term is small enough that cancellation cannot eat the
   target accuracy;
+* for a <= 1 and z < -50 the algebraic expansion
+  E_{a,b}(z) = -sum_{k>=1} z^(-k) / Gamma(b - a*k) (Podlubny, Fractional
+  Differential Equations, 1999, Thm 1.4), in one Horner pass.  It stops at
+  the first k where the majorant 50^(-k) |1/Gamma(b - a*k)| falls 2^-60
+  below its first term, and a pair (a, b) whose majorant rises before that
+  keeps the contour; the term count depends on (a, b) alone.  For a > 1
+  the sum misses the damped pole terms, 4.4e-11 at (1.3, 1, -90), so those
+  points keep the contour;
 * elsewhere the inverse Laplace transform of s^(a-b)/(s^a - z) at t = 1 by
   the trapezoidal rule on Garrappa's optimal parabola (SIAM J. Numer. Anal.
   53 (2015) 1350-1369), plus the residues s^(1-b) e^s / a of the poles
-  s^a = z to its right.  The pole-free points (a <= 1, z < 0) of one call
-  share one contour; points with poles (z > 0 or a > 1) get their own.
+  s^a = z to its right.  The pole-free points (a <= 1, z < 0) that the
+  expansion leaves share one contour; points with poles (z > 0 or a > 1)
+  get their own.
 
 The contour's error is absolute while E_{a,b} shrinks like 1/Gamma(b), so
 for b > 10 it runs at b - m*a <= 10 and the index-shift recurrence
@@ -61,6 +70,12 @@ _LOG_EPS = math.log(2.0**-52)
 
 # Complex elements per block of a contour sum, so temporaries stay bounded.
 _BLOCK = 1 << 16
+
+# Start of the algebraic expansion's half-line, and its truncation level.
+_DEEP = 50.0
+_LOG_DEEP = math.log(_DEEP)
+_LOG_DEEP_TOL = 60.0 * math.log(2.0)
+_LOG_PI = math.log(math.pi)
 
 
 def sinpi_array(x) -> np.ndarray:
@@ -302,6 +317,42 @@ def _ml_contour(alpha: float, beta: float, z: np.ndarray) -> np.ndarray:
     return val
 
 
+def _ml_deep(alpha: float, beta: float, z: np.ndarray) -> np.ndarray | None:
+    """E_{alpha,beta} at ``z < -_DEEP`` by the truncated algebraic expansion
+    of the module docstring, or None where (alpha, beta) keeps the contour.
+    The terms depend on (alpha, beta) alone, so each point gets its lone value.
+    """
+    k = 0
+    while True:
+        k += 1
+        w = beta - alpha * k
+        if w >= 0.5:
+            log_m = -math.lgamma(w) - k * _LOG_DEEP
+        else:
+            log_m = math.lgamma(1.0 - w) - _LOG_PI - k * _LOG_DEEP
+        if k == 1:
+            first = log_m
+        elif log_m < first - _LOG_DEEP_TOL:
+            break
+        elif log_m > prev:
+            return None
+        prev = log_m
+    w = beta - alpha * np.arange(1.0, k + 1.0)
+    refl = w < 0.5
+    g = np.array([gamma(v) for v in np.where(refl, 1.0 - w, w)])
+    c = 1.0 / g
+    # reflection: exact zeros at the poles, and no division by a Gamma that
+    # underflows for very negative w
+    c[refl] = g[refl] * sinpi_array(w[refl]) / math.pi
+    r = 1.0 / z
+    acc = np.full(z.shape, -c[-1])
+    for ck in -c[-2::-1]:
+        acc *= r
+        acc += ck
+    acc *= r
+    return acc
+
+
 def _ml(alpha: float, beta: float, z: np.ndarray) -> np.ndarray:
     """E_{alpha,beta} at every entry of the finite 1-D float array ``z``."""
     if alpha == 1.0 and beta == 1.0:
@@ -319,6 +370,12 @@ def _ml(alpha: float, beta: float, z: np.ndarray) -> np.ndarray:
     i = np.flatnonzero(disc)[ok]
     out[i] = val[ok]
     rest[i] = False
+    deep = rest & (z < -_DEEP)
+    if alpha <= 1.0 and deep.any():
+        val = _ml_deep(alpha, beta, z[deep])
+        if val is not None:
+            out[deep] = val
+            rest[deep] = False
     out[rest] = _ml_contour(alpha, beta, z[rest])
     return out
 

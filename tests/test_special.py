@@ -364,3 +364,56 @@ def test_ml_array_wrappers_match_scalar():
     mat = ml_two_array(0.6, 1.4, zs.reshape(2, 17))
     assert mat.shape == (2, 17)
     assert_allclose(mat.ravel(), arr, rtol=0, atol=0)
+
+
+# ------------------------------------- ML: algebraic expansion for z < -50
+
+
+def test_ml_deep_route_against_laplace_oracle():
+    # alpha <= 1, z < -50 takes the truncated expansion -sum z^-k / Gamma(b - a k)
+    zs = (float(np.nextafter(-50.0, -np.inf)), -60.0, -1.0e3, -1.0e6)
+    for a in (0.1, 0.3, 0.6, 0.95, 1.0):
+        for b in sorted({a, 1.0, 1.0 + a, 2.0 + a, 12.0, 30.0}):
+            if a == 1.0 and b == 1.0:
+                continue  # exp(z), a closed form; Talbot's exp(-1000) is 8.9e-69
+            for z in zs:
+                got = ml_two(MLParams(a, b), z)
+                want = laplace_oracle(a, b, -z)
+                with mp.workdps(50):
+                    err = abs(mp.mpf(got) - want)
+                    rel = float(err / abs(want))
+                assert float(err) <= 1e-12 and rel <= 1e-10, (a, b, z, float(err), rel)
+
+
+def test_ml_deep_route_zero_coefficient():
+    # E_{1/2,1}(-x) = exp(x^2) erfc(x); the expansion's c_2 = 1/Gamma(0) is 0
+    for x in (float(np.nextafter(50.0, np.inf)), 60.0, 1.0e3, 1.0e6):
+        got = ml_one(0.5, -x)
+        with mp.workdps(40):
+            want = mp.exp(mp.mpf(x) ** 2) * mp.erfc(x)
+            rel = float(abs((mp.mpf(got) - want) / want))
+        assert rel <= 1e-13, (x, rel)
+
+
+def test_ml_deep_route_is_pointwise_and_continuous():
+    # disc, band and deep points in one call, 2-D, equal their lone values
+    zs = np.array([
+        [-0.5, -3.0, -20.0, -49.9, -50.0, -50.5],
+        [-51.0, -75.0, -400.0, -1e4, -1e7, 2.0],
+    ])
+    for a, b in ((0.6, 1.0), (0.6, 1.6), (0.6, 2.6), (0.3, 0.3), (0.95, 12.0), (1.0, 30.0)):
+        got = ml_two_array(a, b, zs)
+        assert got.shape == zs.shape
+        ref = np.array([ml_two(MLParams(a, b), float(z)) for z in zs.ravel()])
+        assert_allclose(got.ravel(), ref, rtol=0, atol=0)
+        # the route starts just below -50, where the contour stops
+        edge = ml_two_array(a, b, [-50.0, np.nextafter(-50.0, -np.inf)])
+        assert_allclose(edge[1], edge[0], rtol=1e-13, atol=0, err_msg=f"{(a, b)}")
+
+
+def test_ml_deep_route_stays_finite():
+    # coefficients come from a reflection, never from 1/Gamma of an underflow
+    zs = -np.logspace(np.log10(51.0), 12.0, 7)
+    for a in np.linspace(0.01, 1.0, 12):
+        for b in (0.01, 0.5, 3.7, 40.0, 80.0, 150.0, 300.0):
+            assert np.all(np.isfinite(ml_two_array(float(a), b, zs))), (a, b)
