@@ -46,6 +46,7 @@ import argparse
 import ast
 import configparser
 import contextlib
+import functools
 import io
 import json
 import math
@@ -57,7 +58,7 @@ import numpy as np
 from .errors import IllPosedError, ValidationError
 from .inverse import InverseProblemSpec, reconstruct_source_field, solve_inverse
 from .operators import FracParams, SampledFunction, make_time_grid
-from .special import MLParams, ml_two
+from .special import MLParams, ml_two_array
 # bench/worker.py's WRAPS traces sine_analyze by this module's name
 from .spectral import (  # noqa: F401
     DirectProblemSpec,
@@ -215,23 +216,179 @@ def _out_dir(cp: configparser.ConfigParser, spec_dir: str) -> str:
     return path
 
 
-# Forking and reaping one writer costs 3.1-3.8 ms on 2 vCPU, about what
-# formatting 2,000 values costs.  A pass of 10,000 values took 17-20 ms in
-# one block and 14-16 ms in two; from 5,000 to 8,000 values two blocks won
-# or lost by noise.  So a row block holds at least this many values.
-_BLOCK_VALUES = 5_000
+# ---------------------------------------------------------------------------
+# CSV text
+#
+# A value prints as Python's repr prints it, the shortest decimal that reads
+# back as the same double, except that whole numbers below 1e16 in magnitude
+# print as integers.  The digits come from Schubfach (R. Giulietti, "The
+# Schubfach way to render doubles", 2020), run on uint64 arrays with each
+# 64 x 64 -> 128-bit product built from 32-bit halves.  Every operand is a
+# np.uint64: NumPy 1.x turns uint64 with a Python int into float64.
+
+_U = np.uint64
+_M32, _M63, _S32 = _U(2**32 - 1), _U(2**63 - 1), _U(32)
+_POW10 = np.array([10**i for i in range(18)], np.uint64)
+# Schubfach's g(k) = floor(10^-k 2^(125 - floor(-k log2 10))) + 1 for the
+# decimal exponents k of doubles, -324..292, at column k + 324: the 32-bit
+# halves of g1 = g >> 63 and of g0 = g mod 2^63, then g1.  A cache of fixed
+# numbers, filled for the k a table needs: all 617 take 3.5 ms on 2 vCPU.
+_G = np.zeros((5, 617), np.uint64)
+_G_BUILT = np.zeros(617, bool)
+_CHUNK_VALUES = 4096  # values formatted per _csv_block call when streaming
+_ROW18 = np.arange(18, dtype=np.uint8)[:, None]
+_ROW5 = np.arange(5, dtype=np.uint8)[:, None]
+_DIGIT_AT = np.arange(1, 18, dtype=np.uint8)[:, None]
 
 
-def _csv_lines(table: np.ndarray):
-    """Each row of the 2-D float ``table`` as comma-separated text: whole
-    numbers below 1e16 in magnitude as integers (so -0.0 reads 0), every
-    other value as the shortest repr that round-trips to the same float."""
-    whole = (table == np.trunc(table)) & (np.abs(table) < 1e16)
-    for row, flags in zip(table, whole):
-        vals = row.tolist()
-        for j in np.flatnonzero(flags).tolist():
-            vals[j] = int(vals[j])
-        yield ",".join(map(repr, vals))
+def _decimal_exponent(bq, irregular):
+    """Schubfach's k = floor(log10(2^q)), or floor(log10(3/4 2^q)) where the
+    spacing below is irregular, for the biased binary exponent bq = q + 1075."""
+    return ((bq - 1075) * 661971961083 - irregular * 274743187321) >> 41
+
+
+def _build_g(kmin: int, kmax: int) -> None:
+    """Fill the columns of _G for kmin <= k <= kmax that are still empty."""
+    for k in (np.flatnonzero(~_G_BUILT[kmin + 324:kmax + 325]) + kmin).tolist():
+        f = (-k * 913124641741) >> 38  # floor(-k log2 10)
+        g = (10 ** max(-k, 0) << max(125 - f, 0)) // (10 ** max(k, 0) << max(f - 125, 0)) + 1
+        g1, g0 = g >> 63, g & (2**63 - 1)
+        _G[:, k + 324] = g1 & 0xFFFFFFFF, g1 >> 32, g0 & 0xFFFFFFFF, g0 >> 32, g1
+        _G_BUILT[k + 324] = True
+
+
+def _prepare_csv(tables) -> None:
+    """Build what _csv_block needs for the values of ``tables``, so that
+    writers forked afterwards inherit it."""
+    _exponent_text()
+    for table in tables:
+        mag = np.abs(table)
+        low = mag.min(initial=1.5, where=mag >= sys.float_info.min)  # 1.5 serves whole, subnormal
+        top = mag.max(initial=1.5)
+        bq_low, bq_top = (int(np.float64(x).view(np.uint64) >> _U(52)) for x in (low, top))
+        _build_g(_decimal_exponent(bq_low, True), _decimal_exponent(bq_top, False))
+
+
+@functools.cache
+def _exponent_text():
+    """Rows 'e', sign, two or three digits (NUL-padded) of repr's exponent
+    suffix for e = -324..308 at column e + 324, and each suffix's length."""
+    text = [f"e{e:+03d}".encode() for e in range(-324, 309)]
+    rows = np.frombuffer(b"".join(t.ljust(5, b"\0") for t in text), np.uint8)
+    return rows.reshape(-1, 5).T.copy(), np.array([len(t) for t in text], np.uint8)
+
+
+def _hi64(a0, a1, b0, b1):
+    """The high 64 bits of (a1 2^32 + a0)(b1 2^32 + b0), all halves < 2^32
+    and b1 < 2^27, so the middle sums cannot overflow."""
+    m = a1 * b0
+    mid = (a0 * b0 >> _S32) + a0 * b1 + (m & _M32)
+    return a1 * b1 + (m >> _S32) + (mid >> _S32)
+
+
+def _rop(g, cp):
+    """Schubfach's rop: g cp / 2^127 rounded to odd, g as a column set of _G."""
+    g10, g11, g00, g01, g1 = g
+    c0, c1 = cp & _M32, cp >> _S32
+    z = (g1 * cp >> _U(1)) + _hi64(g00, g01, c0, c1)
+    return _hi64(g10, g11, c0, c1) + (z >> _U(63)) | ((z & _M63) + _M63) >> _U(63)
+
+
+def _shortest(bits):
+    """(d, k) per positive normal double given by its uint64 ``bits``: the
+    shortest d 10^k that reads back as it, nearest it on a tie of length."""
+    bq = (bits >> _U(52)).astype(np.int64)
+    c = bits & _U(2**52 - 1) | _U(2**52)
+    irregular = (c == _U(2**52)) & (bq > 1)  # the double below is nearer than the one above
+    k = _decimal_exponent(bq, irregular)
+    _build_g(int(k.min()), int(k.max()))
+    g = _G.take(k + 324, axis=1)
+    h = (bq - 1073 + (-k * 913124641741 >> 38)).astype(np.uint64)
+    cb, out = c << _U(2), c & _U(1)
+    vb = _rop(g, cb << h)
+    low = _rop(g, cb - _U(2) + irregular << h) + out  # the rounding interval, scaled by 4
+    high = _rop(g, cb + _U(2) << h) - out
+    s = vb >> _U(2)
+    sp10 = s // _U(10) * _U(10)
+    upin, wpin = low <= sp10 << _U(2), sp10 + _U(10) << _U(2) <= high
+    uin, win = low <= s << _U(2), s + _U(1) << _U(2) <= high
+    mid = s << _U(2) | _U(2)
+    up = np.where(uin != win, win, (vb > mid) | (vb == mid) & (s & _U(1)).astype(bool))
+    return np.where(upin != wpin, sp10 + wpin * _U(10), s + up), k
+
+
+def _csv_block(table: np.ndarray) -> bytes:
+    """The rows of the 2-D float ``table`` as comma-separated lines, each
+    ended by a newline: whole numbers below 1e16 in magnitude as integers
+    (so -0.0 reads 0), every other value as repr(float) prints it."""
+    rows, cols = table.shape
+    v = np.ascontiguousarray(table, dtype=float).ravel()
+    n = v.size
+    if not n:
+        return b"\n" * rows
+    whole = (v == np.trunc(v)) & (np.abs(v) < 1e16)
+    bits = v.view(np.uint64) & _M63
+    sub = (bits < _U(2**52)) & ~whole
+    # 17 significant digits d (all zero for 0) and the decimal point's place:
+    # the value is 0.d 10^decpt.  Whole numbers and subnormals get theirs
+    # below; 1.5 stands in for them here.
+    d, k = _shortest(np.where(whole | sub, _U(0x3FF8000000000000), bits))
+    short = d < _U(10**16)
+    d = np.where(short, d * _U(10), d)
+    decpt = k + 17 - short
+    iw = np.flatnonzero(whole)
+    if iw.size:
+        m = np.abs(v[iw]).astype(np.uint64)
+        width = np.searchsorted(_POW10, m, side="right")
+        d[iw], decpt[iw] = m * _POW10[17 - width], width
+    for i in np.flatnonzero(sub).tolist():  # Schubfach would give 4.9e-324 where repr gives 5e-324
+        mant, _, e = repr(abs(float(v[i]))).partition("e")
+        d[i], decpt[i] = int(mant.replace(".", "").ljust(17, "0")), int(e) + 1
+    # the digit characters of d in rows 1..17 of z, between two zero rows
+    z = np.zeros((19, n), np.uint8)
+    top = d // _U(10**16)
+    rest = d - top * _U(10**16)
+    hi8 = rest // _U(10**8)
+    halves = np.array([hi8, rest - hi8 * _U(10**8)], np.int32)  # digits 1-8 and 9-16
+    for place in range(8, 0, -1):
+        tens = halves // 10
+        z[1 + place:18:8] = halves - tens * 10
+        halves = tens
+    z[1] = top
+    nd = (_DIGIT_AT * (z[1:18] != 0)).max(axis=0)
+    z[1:18] += np.uint8(48)
+    # layout, as repr: positional iff -4 < decpt <= 16
+    expo = ~whole & ((decpt > 16) | (decpt <= -4))
+    small = ~whole & ~expo & (decpt <= 0)
+    dot = ~whole & ~small & (nd > 1)
+    p = np.where(dot, np.where(expo, 1, decpt), 17).astype(np.uint8)
+    exp_rows, exp_len = _exponent_text()
+    e = np.where(expo, decpt + 323, 0)
+    # rows: sign, "0.000", digits with the dot at row p, exponent, separator
+    text = np.empty((30, n), np.uint8)
+    text[0] = ord("-")
+    text[1:6] = np.frombuffer(b"0.000", np.uint8)[:, None]
+    np.multiply(z[1:19], _ROW18 < p, out=text[6:24])
+    text[6:24] += z[0:18] * (_ROW18 > p)
+    text[6:24] += np.uint8(ord(".")) * (_ROW18 == p)
+    text[24:29] = exp_rows.take(e, axis=1)
+    text[29] = ord(",")
+    text[29, cols - 1::cols] = ord("\n")
+    shown = np.empty((30, n), bool)
+    shown[0] = v < 0
+    shown[1:6] = _ROW5 < np.where(small, 2 - decpt, 0).astype(np.uint8)
+    shown[6:24] = _ROW18 < (np.where(whole, np.maximum(decpt, 1), nd) + dot).astype(np.uint8)
+    shown[24:29] = _ROW5 < exp_len.take(e) * expo
+    shown[29] = True
+    return text.T[shown.T].tobytes()
+
+
+def _csv_chunks(table: np.ndarray):
+    """_csv_block of ``table`` in row blocks of at most _CHUNK_VALUES values
+    (one row where a row holds more)."""
+    step = max(1, _CHUNK_VALUES // max(1, table.shape[1]))
+    for i in range(0, len(table), step):
+        yield _csv_block(table[i:i + step])
 
 
 def _check_finite(table: np.ndarray, name: str) -> None:
@@ -242,6 +399,13 @@ def _check_finite(table: np.ndarray, name: str) -> None:
         raise FloatingPointError(
             f"{name}: non-finite value {float(table[i, j])} at data row {i}, column {j} "
             "(counted from 0)")
+
+
+# A forked writer pays for itself from about 40,000 values on 2 vCPU: a pass
+# of 20,000 values took 14.7 ms in one block and 16.8 ms in two, 50,000
+# values 33.1 ms against 27.7 ms, and from 30,000 to 40,000 values two blocks
+# won or lost by noise.  So a row block holds at least this many values.
+_BLOCK_VALUES = 20_000
 
 
 def _block_count(values: int) -> int:
@@ -259,7 +423,7 @@ def _block_count(values: int) -> int:
 
 def _fork_writer(parts: list, inherited: list):
     """(pid, read end of a pipe) of a child that formats every 2-D array in
-    ``parts`` by _csv_lines, then sends their byte lengths (8 bytes each,
+    ``parts`` by _csv_block, then sends their byte lengths (8 bytes each,
     little-endian) followed by the texts in order, and exits; or (None, None)
     where the fork fails.  All text is formatted before any is sent, so a
     full pipe never stalls the formatting.  The child closes the read ends in
@@ -276,7 +440,7 @@ def _fork_writer(parts: list, inherited: list):
         try:
             for fd in inherited + [r]:
                 os.close(fd)
-            texts = ["".join(line + "\n" for line in _csv_lines(p)).encode() for p in parts]
+            texts = [b"".join(_csv_chunks(p)) for p in parts]
             with open(w, "wb") as pipe:
                 pipe.write(b"".join(len(t).to_bytes(8, "little") for t in texts))
                 for t in texts:
@@ -299,21 +463,23 @@ def _pipe_copy(fd: int, sink, size: int) -> None:
 def _write_tables(out: str, tables) -> None:
     """Write each (name, header, columns) of ``tables`` as the file
     out/name: one header line, then row i holds entry i of every column (a
-    2-D column contributes each of its own columns), formatted by _csv_lines.
+    2-D column contributes each of its own columns), formatted by _csv_block.
 
     Raises FloatingPointError naming the file, before any file is opened or
     any child forked, if a value of any table is not finite.  Every table is
     cut into the same _block_count(total values) row blocks, and one forked
     child per block after the first (_fork_writer) formats that block of
-    every table.  The parent writes each header and its own first block
-    straight into the files, then appends each child's parts in block
-    order, so the bytes do not depend on the core count.  Every child is
+    every table; what the formatter needs is built before the fork, so the
+    children inherit it.  The parent streams each header and its own first
+    block into the files, then appends each child's parts in block order,
+    so the bytes do not depend on the core count.  Every child is
     reaped before this returns or raises; one that fails raises RuntimeError,
     and any failure removes every file of the pass."""
     paths = [os.path.join(out, name) for name, _, _ in tables]
     stacked = [np.column_stack(columns).astype(float, copy=False) for _, _, columns in tables]
     for path, table in zip(paths, stacked):
         _check_finite(table, path)
+    _prepare_csv(stacked)
     n = _block_count(sum(table.size for table in stacked))
     cuts = [[len(table) * b // n for b in range(n + 1)] for table in stacked]
     blocks = [[t[c[b]:c[b + 1]] for t, c in zip(stacked, cuts)] for b in range(n)]
@@ -334,8 +500,8 @@ def _write_tables(out: str, tables) -> None:
             for fd, parts in zip(readers, blocks):
                 if fd is None:
                     for fh, part in zip(files, parts):
-                        for line in _csv_lines(part):
-                            fh.write(line.encode() + b"\n")
+                        for text in _csv_chunks(part):
+                            fh.write(text)
                     continue
                 sizes = io.BytesIO()
                 _pipe_copy(fd, sizes, 8 * len(files))
@@ -356,7 +522,7 @@ def _write_tables(out: str, tables) -> None:
 
 def _field_table(field):
     """The u_grid.csv table: the x nodes across, then one row t, u(x, t) per time."""
-    header = "x\\t," + next(_csv_lines(field.xgrid[None, :]))
+    header = "x\\t," + _csv_block(field.xgrid[None, :]).decode().rstrip("\n")
     return "u_grid.csv", header, (field.tgrid, field.values)
 
 
@@ -375,13 +541,13 @@ def _cmd_ml(args) -> int:
         return 2
     try:
         params = MLParams(args.alpha, args.beta)
-        table = np.array([(z, ml_two(params, z)) for z in args.z])
+        z = np.array(args.z, dtype=float)
+        table = np.column_stack([z, ml_two_array(params.alpha, params.beta_star, z)])
     except (ValueError, OverflowError) as exc:
         print(f"ml: {exc}", file=sys.stderr)
         return 2
     _check_finite(table, "output")
-    for line in _csv_lines(table):
-        print(line.replace(",", ", "))
+    print(_csv_block(table).decode().replace(",", ", "), end="")
     return 0
 
 

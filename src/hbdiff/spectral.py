@@ -35,10 +35,10 @@ import numpy as np
 from .errors import ValidationError
 from .operators import FracParams, SampledFunction, make_time_grid
 from .quadrature import _check_grid, _past_end, _uniform_step
-from .scalar import ScalarProblem, solve_scalar, solve_scalar_batch
+from .scalar import solve_scalar_batch
 from .special import sinpi_array
-# bench/worker.py's WRAPS traces these two by this module's name
-from .scalar import solve_scalar_constant  # noqa: F401
+# bench/worker.py's WRAPS traces these three by this module's name
+from .scalar import solve_scalar, solve_scalar_constant  # noqa: F401
 from .special import ml_one_array  # noqa: F401
 
 __all__ = [
@@ -47,7 +47,6 @@ __all__ = [
     "SineSeries",
     "SolutionField",
     "TensorForcing",
-    "mode_forcing_term",
     "sine_analyze",
     "sine_synthesize",
     "solve_direct",
@@ -161,18 +160,6 @@ def sine_synthesize(series: SineSeries, xgrid) -> SampledFunction:
     """Pointwise sum of the sine series on ``xgrid``; exactly zero at x = 0, 1."""
     x = np.asarray(xgrid, dtype=float)
     return SampledFunction(x, _sine_values(series.coeffs, x))
-
-
-def mode_forcing_term(fk: SampledFunction, k: int, fp: FracParams, tgrid) -> SampledFunction:
-    """Forced response of mode k to the coefficient trace f_k, zero initial data.
-
-    This is the forcing part of the scalar solution with decay rate
-    (k pi)^2; it vanishes at t = 0.
-    """
-    if k < 1:
-        raise ValueError("mode_forcing_term: mode index must be >= 1")
-    prob = ScalarProblem(fp, float(k * k) * math.pi**2, 0.0, fk)
-    return solve_scalar(prob, tgrid)
 
 
 @dataclass(frozen=True)

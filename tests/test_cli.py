@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -57,7 +58,7 @@ def _fmt(v: float) -> str:
     """The per-value rule the CSV writer must reproduce: whole numbers below
     1e16 in magnitude as integers, everything else as the round-trip repr."""
     v = float(v)
-    if v == int(v) and abs(v) < 1e16:
+    if abs(v) < 1e16 and v == int(v):
         return str(int(v))
     return repr(v)
 
@@ -113,6 +114,12 @@ class TestMlCommand:
         assert lines[0] == "0, 1"
         z1 = float(lines[1].split(", ")[1])
         assert z1 == ml_two(MLParams(1.0, 1.0), 1.0)
+
+    def test_one_evaluation_gives_each_z_its_own_value(self, capsys):
+        zs = [-0.9, -5.0, -80.0, 0.3]
+        assert main(["ml", "--alpha", "0.6", "--beta", "1.6"] + [f"--z={z}" for z in zs]) == 0
+        want = [f"{_fmt(z)}, {_fmt(ml_two(MLParams(0.6, 1.6), z))}" for z in zs]
+        assert capsys.readouterr().out.splitlines() == want
 
     def test_negative_axis_value(self, capsys):
         assert main(["ml", "--alpha", "0.5", "--z", "-1"]) == 0
@@ -295,6 +302,37 @@ def test_csv_writer_formats_every_value_like_fmt(tmp_path):
     assert [r.split(",")[0] for r in lines[1:-1]] == ["0", "3", "1e+16", "0.1", "1e-300"]
 
 
+def _oracle_doubles(rng):
+    """Doubles of every kind the shortest-digit search can get wrong."""
+    bits = rng.integers(0, 0x7FF0000000000000, size=1_000_000, dtype=np.uint64)  # finite
+    bits[::2] |= np.uint64(1 << 63)
+    ks, es = rng.integers(1, 10**6, 20_000).tolist(), rng.integers(-330, 303, 20_000).tolist()
+    short = np.array([float(f"{k}e{e}") for k, e in zip(ks, es)])
+    powers = np.concatenate([np.ldexp(1.0, np.arange(-1074, 1024)),
+                             [float(f"1e{e}") for e in range(-323, 309)]])
+    edges = [2.0**53 - 1, 2.0**53, 2.0**53 + 2, 1e16 - 2, 1e16, 0.0]
+    vals = np.concatenate([short, powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf), edges])
+    vals = vals[np.isfinite(vals)]
+    return np.concatenate([bits.view(np.float64), vals, -vals])
+
+
+def test_csv_writer_formats_any_double_like_fmt(tmp_path, monkeypatch):
+    # random bit patterns (subnormals included), short decimals over the whole
+    # exponent range, every power of two and of ten with both neighbours, and
+    # the whole-number edges, both signs, formatted by two forked writers
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    vals = _oracle_doubles(np.random.default_rng(18))
+    vals = np.concatenate([vals, np.zeros(-vals.size % 100)]).reshape(-1, 100)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _write_tables(str(tmp_path), [("t.csv", "a", (vals,))])
+    got = (tmp_path / "t.csv").read_text().split("\n")[1:-1]
+    want = [",".join(map(_fmt, row)) for row in vals.tolist()]
+    bad = [(g, w) for g, w in zip(got, want) if g != w]
+    assert len(got) == len(want) and not bad, bad[:1]
+    no_child_left()
+
+
 # the repr boundaries: 1e16 and the two sides of the switch to exponent form
 _ADVERSARIAL = [-0.0, 0.0, 1.0, -1.0, 7.0, -12.0, 9999999999999998.0, 1e16, 1e20,
                 5e-324, 1e-4, 9.999999999999999e-05, 0.1]
@@ -358,15 +396,15 @@ def test_csv_writer_reaps_children_when_the_open_fails(tmp_path, monkeypatch):
 
 
 def test_csv_writer_fails_when_a_child_fails(tmp_path, monkeypatch):
-    parent, lines = os.getpid(), cli._csv_lines
+    parent, block = os.getpid(), cli._csv_block
 
     def child_fails(table):
         if os.getpid() != parent:
             raise MemoryError
-        return lines(table)
+        return block(table)
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    monkeypatch.setattr(cli, "_csv_lines", child_fails)
+    monkeypatch.setattr(cli, "_csv_block", child_fails)
     tables, paths = _pool(tmp_path)
     with pytest.raises(RuntimeError, match="exited with status 1"):
         _write_tables(str(tmp_path), tables)

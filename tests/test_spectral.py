@@ -13,7 +13,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from hbdiff.errors import ValidationError
 from hbdiff.operators import FracParams, SampledFunction, make_time_grid
-from hbdiff.scalar import solve_scalar_constant
+from hbdiff.scalar import ScalarProblem, solve_scalar, solve_scalar_constant
 from hbdiff.special import ml_one_array
 from hbdiff.spectral import (
     DirectProblemSpec,
@@ -23,7 +23,6 @@ from hbdiff.spectral import (
     TensorForcing,
     _forcing_mode_traces,
     _sine_coeffs,
-    mode_forcing_term,
     sine_analyze,
     sine_synthesize,
     solve_direct,
@@ -134,13 +133,18 @@ def test_analyze_every_mode_of_a_fine_grid_in_little_memory():
 
 
 # ---------------------------------------------------------------------------
-# mode forcing
+# mode forcing: the forced response of mode k is the scalar solution with
+# decay rate (k pi)^2 and zero initial data
+
+def _mode_forcing(fk, k, fp, t):
+    return solve_scalar(ScalarProblem(fp, float(k * k) * math.pi**2, 0.0, fk), t)
+
 
 def test_mode_forcing_zero_trace():
     fp = FracParams(0.6, 0.2)
     t = make_time_grid(1.0, 64, fp.rho)
     fk = SampledFunction(t, np.zeros_like(t))
-    F = mode_forcing_term(fk, 3, fp, t)
+    F = _mode_forcing(fk, 3, fp, t)
     assert np.all(F.values == 0.0)
 
 
@@ -149,20 +153,13 @@ def test_mode_forcing_constant_closed_form():
     fp = FracParams(0.55, 0.25)
     t = make_time_grid(1.5, 256, fp.rho)
     fk = SampledFunction(t, np.ones_like(t))
-    F = mode_forcing_term(fk, 1, fp, t)
+    F = _mode_forcing(fk, 1, fp, t)
     z = -(math.pi**2) / fp.rho**fp.alpha * t ** (fp.rho * fp.alpha)
     want = (1.0 - ml_one_array(fp.alpha, z)) / math.pi**2
     assert_allclose(F.values, want, rtol=0, atol=1e-10)
     assert F.values[0] == 0.0
     # the long-time limit of the closed form is 1/pi^2
     assert abs(1.0 / math.pi**2 - 0.10132118364233778) < 1e-16
-
-
-def test_mode_forcing_rejects_bad_mode():
-    fp = FracParams(0.5, 0.0)
-    t = make_time_grid(1.0, 16, fp.rho)
-    with pytest.raises(ValueError):
-        mode_forcing_term(SampledFunction(t, np.ones_like(t)), 0, fp, t)
 
 
 # ---------------------------------------------------------------------------
