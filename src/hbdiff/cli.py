@@ -221,20 +221,20 @@ def _out_dir(cp: configparser.ConfigParser, spec_dir: str) -> str:
 #
 # A value prints as Python's repr prints it, the shortest decimal that reads
 # back as the same double, except that whole numbers below 1e16 in magnitude
-# print as integers.  The digits come from Schubfach (R. Giulietti, "The
+# print as integers.  Their shortest digits are the integer's own, so every
+# normal double takes the one digit search, Schubfach (R. Giulietti, "The
 # Schubfach way to render doubles", 2020), run on uint64 arrays with each
 # 64 x 64 -> 128-bit product built from 32-bit halves.  Every operand is a
 # np.uint64: NumPy 1.x turns uint64 with a Python int into float64.
 
 _U = np.uint64
 _M32, _M63, _S32 = _U(2**32 - 1), _U(2**63 - 1), _U(32)
-_POW10 = np.array([10**i for i in range(18)], np.uint64)
 # Schubfach's g(k) = floor(10^-k 2^(125 - floor(-k log2 10))) + 1 for the
 # decimal exponents k of doubles, -324..292, at column k + 324: the 32-bit
 # halves of g1 = g >> 63 and of g0 = g mod 2^63, then g1.  A cache of fixed
-# numbers, filled for the k a table needs: all 617 take 3.5 ms on 2 vCPU.
+# numbers, filled in each process for the k its blocks need (g1 >= 2^62, so
+# a zero in row 4 marks an empty column): all 617 take 3.5 ms on 2 vCPU.
 _G = np.zeros((5, 617), np.uint64)
-_G_BUILT = np.zeros(617, bool)
 _CHUNK_VALUES = 4096  # values formatted per _csv_block call when streaming
 _ROW18 = np.arange(18, dtype=np.uint8)[:, None]
 _ROW5 = np.arange(5, dtype=np.uint8)[:, None]
@@ -249,24 +249,11 @@ def _decimal_exponent(bq, irregular):
 
 def _build_g(kmin: int, kmax: int) -> None:
     """Fill the columns of _G for kmin <= k <= kmax that are still empty."""
-    for k in (np.flatnonzero(~_G_BUILT[kmin + 324:kmax + 325]) + kmin).tolist():
+    for k in (np.flatnonzero(_G[4, kmin + 324:kmax + 325] == 0) + kmin).tolist():
         f = (-k * 913124641741) >> 38  # floor(-k log2 10)
         g = (10 ** max(-k, 0) << max(125 - f, 0)) // (10 ** max(k, 0) << max(f - 125, 0)) + 1
         g1, g0 = g >> 63, g & (2**63 - 1)
         _G[:, k + 324] = g1 & 0xFFFFFFFF, g1 >> 32, g0 & 0xFFFFFFFF, g0 >> 32, g1
-        _G_BUILT[k + 324] = True
-
-
-def _prepare_csv(tables) -> None:
-    """Build what _csv_block needs for the values of ``tables``, so that
-    writers forked afterwards inherit it."""
-    _exponent_text()
-    for table in tables:
-        mag = np.abs(table)
-        low = mag.min(initial=1.5, where=mag >= sys.float_info.min)  # 1.5 serves whole, subnormal
-        top = mag.max(initial=1.5)
-        bq_low, bq_top = (int(np.float64(x).view(np.uint64) >> _U(52)) for x in (low, top))
-        _build_g(_decimal_exponent(bq_low, True), _decimal_exponent(bq_top, False))
 
 
 @functools.cache
@@ -326,22 +313,17 @@ def _csv_block(table: np.ndarray) -> bytes:
     n = v.size
     if not n:
         return b"\n" * rows
-    whole = (v == np.trunc(v)) & (np.abs(v) < 1e16)
     bits = v.view(np.uint64) & _M63
-    sub = (bits < _U(2**52)) & ~whole
-    # 17 significant digits d (all zero for 0) and the decimal point's place:
-    # the value is 0.d 10^decpt.  Whole numbers and subnormals get theirs
-    # below; 1.5 stands in for them here.
-    d, k = _shortest(np.where(whole | sub, _U(0x3FF8000000000000), bits))
+    tiny = bits < _U(2**52)  # zero or subnormal
+    # 17 significant digits d and the decimal point's place: the value is
+    # 0.d 10^decpt.  1.5 stands in for zero, which keeps its decpt 1 and
+    # takes the digits 0, and for subnormals, which get theirs from repr
+    # below: Schubfach would give 4.9e-324 where repr gives 5e-324.
+    d, k = _shortest(np.where(tiny, _U(0x3FF8000000000000), bits))
     short = d < _U(10**16)
-    d = np.where(short, d * _U(10), d)
+    d = np.where(short, d * _U(10), d) * ~tiny
     decpt = k + 17 - short
-    iw = np.flatnonzero(whole)
-    if iw.size:
-        m = np.abs(v[iw]).astype(np.uint64)
-        width = np.searchsorted(_POW10, m, side="right")
-        d[iw], decpt[iw] = m * _POW10[17 - width], width
-    for i in np.flatnonzero(sub).tolist():  # Schubfach would give 4.9e-324 where repr gives 5e-324
+    for i in np.flatnonzero(tiny & (bits != _U(0))).tolist():
         mant, _, e = repr(abs(float(v[i]))).partition("e")
         d[i], decpt[i] = int(mant.replace(".", "").ljust(17, "0")), int(e) + 1
     # the digit characters of d in rows 1..17 of z, between two zero rows
@@ -357,11 +339,14 @@ def _csv_block(table: np.ndarray) -> bytes:
     z[1] = top
     nd = (_DIGIT_AT * (z[1:18] != 0)).max(axis=0)
     z[1:18] += np.uint8(48)
-    # layout, as repr: positional iff -4 < decpt <= 16
-    expo = ~whole & ((decpt > 16) | (decpt <= -4))
-    small = ~whole & ~expo & (decpt <= 0)
-    dot = ~whole & ~small & (nd > 1)
-    p = np.where(dot, np.where(expo, 1, decpt), 17).astype(np.uint8)
+    # layout, as repr: positional iff -4 < decpt <= 16.  A dot follows digit
+    # p where digits are left after it, so a whole number below 1e16 (nd <=
+    # decpt <= 16) shows its decpt digits and no ".0".
+    expo = (decpt > 16) | (decpt <= -4)
+    small = ~expo & (decpt <= 0)
+    p = np.where(expo, 1, decpt)
+    dot = ~small & (nd > p)
+    p = np.where(dot, p, 17).astype(np.uint8)
     exp_rows, exp_len = _exponent_text()
     e = np.where(expo, decpt + 323, 0)
     # rows: sign, "0.000", digits with the dot at row p, exponent, separator
@@ -377,7 +362,7 @@ def _csv_block(table: np.ndarray) -> bytes:
     shown = np.empty((30, n), bool)
     shown[0] = v < 0
     shown[1:6] = _ROW5 < np.where(small, 2 - decpt, 0).astype(np.uint8)
-    shown[6:24] = _ROW18 < (np.where(whole, np.maximum(decpt, 1), nd) + dot).astype(np.uint8)
+    shown[6:24] = _ROW18 < (np.where(expo, nd, np.maximum(nd, decpt)) + dot).astype(np.uint8)
     shown[24:29] = _ROW5 < exp_len.take(e) * expo
     shown[29] = True
     return text.T[shown.T].tobytes()
@@ -469,17 +454,16 @@ def _write_tables(out: str, tables) -> None:
     any child forked, if a value of any table is not finite.  Every table is
     cut into the same _block_count(total values) row blocks, and one forked
     child per block after the first (_fork_writer) formats that block of
-    every table; what the formatter needs is built before the fork, so the
-    children inherit it.  The parent streams each header and its own first
-    block into the files, then appends each child's parts in block order,
-    so the bytes do not depend on the core count.  Every child is
-    reaped before this returns or raises; one that fails raises RuntimeError,
-    and any failure removes every file of the pass."""
+    every table, filling the formatter's caches for its own values.  The
+    parent streams each header and its own first block into the files,
+    then appends each child's parts in block order, so the bytes do not
+    depend on the core count.  Every child is reaped before this returns
+    or raises; one that fails raises RuntimeError, and any failure removes
+    every file of the pass."""
     paths = [os.path.join(out, name) for name, _, _ in tables]
     stacked = [np.column_stack(columns).astype(float, copy=False) for _, _, columns in tables]
     for path, table in zip(paths, stacked):
         _check_finite(table, path)
-    _prepare_csv(stacked)
     n = _block_count(sum(table.size for table in stacked))
     cuts = [[len(table) * b // n for b in range(n + 1)] for table in stacked]
     blocks = [[t[c[b]:c[b + 1]] for t, c in zip(stacked, cuts)] for b in range(n)]
@@ -650,7 +634,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValidationError, ValueError, configparser.Error, OSError) as exc:
+    except (ValidationError, ValueError, configparser.Error, OSError, MemoryError) as exc:
         print(f"hbdiff {args.command}: {exc}", file=sys.stderr)
         return 2
     except (IllPosedError, RuntimeError, ArithmeticError) as exc:

@@ -262,21 +262,15 @@ def _forcing_mode_traces(forcing, K: int, xgrid, tgrid) -> np.ndarray:
     """Sine coefficient traces f_k(t) of the forcing on ``tgrid``, shape
     (K, len(tgrid)); a time-independent forcing gives its (K, 1) column
     g_k, which broadcasts and which solve_scalar_batch reads as constant in
-    time.  A tensor forcing's time rows share one DST-I, and its (K, len(tf))
-    coefficient rows are interpolated onto ``tgrid`` at once, by np.interp's
-    own formula (held at the ends, node values exact) with one search."""
+    time.  A tensor forcing's time rows share one DST-I, and each of its K
+    coefficient rows is read on ``tgrid`` by np.interp (held at the ends)."""
     if isinstance(forcing, SeparableForcing):
         g_c = sine_analyze(_resample_unit(forcing.space, xgrid), K).coeffs[:, None]
         if forcing.time is None:
             return g_c
         return g_c * forcing.time.value_at(tgrid)
     coefs = _sine_coeffs(forcing.xgrid, forcing.values, K, "forcing")
-    tf = forcing.tgrid
-    t = np.clip(tgrid, tf[0], tf[-1])
-    i = np.searchsorted(tf, t, side="right") - 1  # tf[i] <= t < tf[i + 1]
-    j = np.minimum(i, tf.size - 2)
-    slope = (coefs[:, j + 1] - coefs[:, j]) / (tf[j + 1] - tf[j])
-    return np.where(t == tf[i], coefs[:, i], slope * (t - tf[j]) + coefs[:, j])
+    return np.array([np.interp(tgrid, forcing.tgrid, row) for row in coefs])
 
 
 def solve_direct(spec: DirectProblemSpec) -> SolutionField:

@@ -150,6 +150,14 @@ class TestDirectCommand:
         err = capsys.readouterr().err
         assert "nested too deeply" in err and "Traceback" not in err
 
+    def test_grid_too_large_to_allocate_exits_2(self, tmp_path, capsys):
+        # nx + 1 doubles take 7 PiB, beyond any address space a process gets,
+        # so the first allocation fails at once and no memory is touched
+        spec = tmp_path / "spec.ini"
+        spec.write_text(SPEC.format(out="out", forcing="zero").replace("nx = 16", "nx = 1000000000000000"))
+        assert main(["direct", str(spec)]) == 2
+        assert "Unable to allocate" in capsys.readouterr().err
+
     def test_outputs_exist_and_layout(self, tmp_path):
         spec = write_spec(tmp_path)
         assert main(["direct", spec]) == 0
@@ -311,15 +319,21 @@ def _oracle_doubles(rng):
     powers = np.concatenate([np.ldexp(1.0, np.arange(-1074, 1024)),
                              [float(f"1e{e}") for e in range(-323, 309)]])
     edges = [2.0**53 - 1, 2.0**53, 2.0**53 + 2, 1e16 - 2, 1e16, 0.0]
-    vals = np.concatenate([short, powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf), edges])
+    # whole numbers: any below 2^53, even ones in [2^53, 1e16), and the ends
+    # of every digit count
+    whole = np.concatenate([rng.integers(0, 2**53, 40_000), 2 * rng.integers(2**52, 5 * 10**15, 40_000)])
+    ends = [float(10**k - j) for k in range(17) for j in (0, 1, 2)]
+    vals = np.concatenate([short, powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf), edges,
+                           whole.astype(float), ends])
     vals = vals[np.isfinite(vals)]
     return np.concatenate([bits.view(np.float64), vals, -vals])
 
 
 def test_csv_writer_formats_any_double_like_fmt(tmp_path, monkeypatch):
     # random bit patterns (subnormals included), short decimals over the whole
-    # exponent range, every power of two and of ten with both neighbours, and
-    # the whole-number edges, both signs, formatted by two forked writers
+    # exponent range, every power of two and of ten with both neighbours, the
+    # whole-number edges and whole numbers of every digit count, both signs,
+    # formatted by two forked writers
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     vals = _oracle_doubles(np.random.default_rng(18))
     vals = np.concatenate([vals, np.zeros(-vals.size % 100)]).reshape(-1, 100)

@@ -346,11 +346,13 @@ def test_ml_large_beta_grid():
 
 
 def test_cli_import_leaves_mpmath_out():
-    code = "import sys, hbdiff.cli; print('mpmath' in sys.modules)"
+    # and builds none of the CSV formatter's tables: each writer fills its own
+    code = ("import sys, hbdiff.cli as c; print('mpmath' in sys.modules, c._G.any(), "
+            "c._exponent_text.cache_info().currsize)")
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True
     )
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "False False 0"
 
 
 def test_ml_array_wrappers_match_scalar():
