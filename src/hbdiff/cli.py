@@ -47,7 +47,6 @@ import ast
 import configparser
 import contextlib
 import functools
-import io
 import json
 import math
 import os
@@ -135,7 +134,8 @@ class Expression:
         if t is not None:
             env["t"] = t
         try:
-            return eval(self._code, env)
+            with np.errstate(all="ignore"):  # the sampled functions name a non-finite value
+                return eval(self._code, env)
         except OverflowError as exc:
             raise ValueError(f"expression {self.text!r} overflows: {exc}") from None
 
@@ -406,13 +406,13 @@ def _block_count(values: int) -> int:
     return max(1, min(cores, values // _BLOCK_VALUES))
 
 
-def _fork_writer(parts: list, inherited: list):
-    """(pid, read end of a pipe) of a child that formats every 2-D array in
-    ``parts`` by _csv_block, then sends their byte lengths (8 bytes each,
-    little-endian) followed by the texts in order, and exits; or (None, None)
-    where the fork fails.  All text is formatted before any is sent, so a
-    full pipe never stalls the formatting.  The child closes the read ends in
-    ``inherited``, so each pipe has one reader."""
+def _fork_writer(paths: list, parts: list, inherited: list):
+    """(pid, write end of a pipe) of a child that formats every 2-D array in
+    ``parts`` by _csv_block, then waits for one byte on that pipe (its turn),
+    appends each text to the file of the same index in ``paths`` and exits 0;
+    or (None, None) where the fork fails.  A child that reads end of file
+    instead of its turn exits 1 and writes nothing.  The child closes the
+    write ends in ``inherited``, so each pipe has one writer."""
     r, w = os.pipe()
     try:
         pid = os.fork()
@@ -423,26 +423,18 @@ def _fork_writer(parts: list, inherited: list):
     if pid == 0:
         code = 1
         try:
-            for fd in inherited + [r]:
+            for fd in inherited + [w]:
                 os.close(fd)
             texts = [b"".join(_csv_chunks(p)) for p in parts]
-            with open(w, "wb") as pipe:
-                pipe.write(b"".join(len(t).to_bytes(8, "little") for t in texts))
-                for t in texts:
-                    pipe.write(t)
-            code = 0
+            if os.read(r, 1):
+                for path, text in zip(paths, texts):
+                    with open(path, "ab") as fh:
+                        fh.write(text)
+                code = 0
         finally:
             os._exit(code)
-    os.close(w)
-    return pid, r
-
-
-def _pipe_copy(fd: int, sink, size: int) -> None:
-    """Move ``size`` bytes from the pipe ``fd`` into ``sink``, fewer where the
-    pipe ends first: its writer failed, and its exit status says so."""
-    while size and (chunk := os.read(fd, min(size, 1 << 20))):
-        sink.write(chunk)
-        size -= len(chunk)
+    os.close(r)
+    return pid, w
 
 
 def _write_tables(out: str, tables) -> None:
@@ -455,11 +447,12 @@ def _write_tables(out: str, tables) -> None:
     cut into the same _block_count(total values) row blocks, and one forked
     child per block after the first (_fork_writer) formats that block of
     every table, filling the formatter's caches for its own values.  The
-    parent streams each header and its own first block into the files,
-    then appends each child's parts in block order, so the bytes do not
-    depend on the core count.  Every child is reaped before this returns
-    or raises; one that fails raises RuntimeError, and any failure removes
-    every file of the pass."""
+    parent writes each header, then hands out the blocks in order: it
+    appends its own first block, and a block whose fork was refused, itself;
+    a child gets its turn byte and is reaped before the next block starts,
+    so the bytes do not depend on the core count.  Every child is reaped
+    before this returns or raises; one that fails raises RuntimeError, and
+    any failure removes every file this pass created."""
     paths = [os.path.join(out, name) for name, _, _ in tables]
     stacked = [np.column_stack(columns).astype(float, copy=False) for _, _, columns in tables]
     for path, table in zip(paths, stacked):
@@ -467,41 +460,40 @@ def _write_tables(out: str, tables) -> None:
     n = _block_count(sum(table.size for table in stacked))
     cuts = [[len(table) * b // n for b in range(n + 1)] for table in stacked]
     blocks = [[t[c[b]:c[b + 1]] for t, c in zip(stacked, cuts)] for b in range(n)]
-    pids, fds, files, done = [], [], [], False
+    children, made, done = {}, [], False  # children: token pipe -> pid, until reaped
     try:
-        readers = [None]  # per block, the read fd of its writer; None where the parent formats it
+        turns = [None]  # per block, the token pipe of its writer; None where the parent formats it
         for parts in blocks[1:]:
-            pid, fd = _fork_writer(parts, fds)
+            pid, fd = _fork_writer(paths, parts, list(children))
             if pid is not None:
-                pids.append(pid)
-                fds.append(fd)
-            readers.append(fd)
-        with contextlib.ExitStack() as stack:
-            for path in paths:
-                files.append(stack.enter_context(open(path, "wb")))
-            for fh, (_, header, _) in zip(files, tables):
+                children[fd] = pid
+            turns.append(fd)
+        for path, (_, header, _) in zip(paths, tables):
+            with open(path, "wb") as fh:
+                made.append(path)
                 fh.write(header.encode() + b"\n")
-            for fd, parts in zip(readers, blocks):
-                if fd is None:
-                    for fh, part in zip(files, parts):
-                        for text in _csv_chunks(part):
-                            fh.write(text)
-                    continue
-                sizes = io.BytesIO()
-                _pipe_copy(fd, sizes, 8 * len(files))
-                for i, fh in enumerate(files):
-                    _pipe_copy(fd, fh, int.from_bytes(sizes.getvalue()[8 * i:8 * i + 8], "little"))
+        for fd, parts in zip(turns, blocks):
+            if fd is None:
+                for path, part in zip(paths, parts):
+                    with open(path, "ab") as fh:
+                        fh.writelines(_csv_chunks(part))
+                continue
+            with contextlib.suppress(BrokenPipeError):  # the child failed and closed its end
+                os.write(fd, b"\n")
+            code = os.waitstatus_to_exitcode(os.waitpid(children[fd], 0)[1])
+            del children[fd]
+            os.close(fd)
+            if code:
+                raise RuntimeError(f"{', '.join(paths)}: a row-block writer exited with status {code}")
         done = True
     finally:
-        for fd in fds:
+        for fd in children:  # a child without its turn reads end of file and exits
             os.close(fd)
-        codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
-        if not done or any(codes):
-            for fh in files:
-                os.remove(fh.name)
-    if any(codes):
-        raise RuntimeError(
-            f"{', '.join(paths)}: a row-block writer exited with status {next(c for c in codes if c)}")
+        for pid in children.values():
+            os.waitpid(pid, 0)
+        if not done:
+            for path in made:
+                os.remove(path)
 
 
 def _field_table(field):

@@ -157,19 +157,25 @@ def make_time_grid(horizon: float, n: int, rho: float) -> np.ndarray:
     """Time nodes whose images under t -> t^rho are uniform on [0, horizon^rho].
 
     This is the natural abscissa for every integral the package computes;
-    n+1 nodes are returned.
+    n+1 nodes are returned.  Raises ValueError unless the horizon is positive
+    and finite, horizon**rho is a double and the nodes, in double precision,
+    increase strictly from 0.
     """
-    if horizon <= 0.0:
-        raise ValueError("make_time_grid: horizon must be positive")
+    if not 0.0 < horizon < math.inf:
+        raise ValueError("make_time_grid: horizon must be positive and finite")
     if n < 1:
         raise ValueError("make_time_grid: need at least one cell")
     if rho <= 0.0:
         raise ValueError("make_time_grid: rho must be positive")
-    s = np.linspace(0.0, horizon**rho, n + 1)
-    t = s ** (1.0 / rho)
+    try:
+        end = math.pow(horizon, rho)
+    except OverflowError:
+        raise ValueError(f"make_time_grid: horizon**rho overflows at horizon {horizon!r}, "
+                         f"rho {rho!r}") from None
+    t = np.linspace(0.0, end, n + 1) ** (1.0 / rho)
     t[0] = 0.0
     t[-1] = horizon
-    return t
+    return _check_grid(t, f"make_time_grid: the nodes at horizon {horizon!r}, rho {rho!r}")
 
 
 # ------------------------------------------------------------------ core

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import warnings
 
 import numpy as np
@@ -158,6 +159,16 @@ class TestDirectCommand:
         assert main(["direct", str(spec)]) == 2
         assert "Unable to allocate" in capsys.readouterr().err
 
+    def test_clock_that_underflows_exits_2(self, tmp_path, capsys):
+        # at theta = -10, T**rho = 1e-330 underflows to 0, so every node but
+        # the last would sit at t = 0
+        spec = tmp_path / "spec.ini"
+        spec.write_text(SPEC.format(out="out", forcing="zero")
+                        .replace("theta = 0.3", "theta = -10").replace("T = 1.0", "T = 1e-30"))
+        assert main(["direct", str(spec)]) == 2
+        assert "increase strictly from 0" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_outputs_exist_and_layout(self, tmp_path):
         spec = write_spec(tmp_path)
         assert main(["direct", spec]) == 0
@@ -301,6 +312,21 @@ class TestDirectCommand:
         assert "vanish" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, old, new", [
+    ("direct", "psi = sin(pi*x) + 0.3*sin(2*pi*x)", "psi = sin(pi*x)/x"),
+    ("direct", "forcing = zero", "forcing = x*(1-x)/t"),
+    ("inverse", "phi = 0.5*sin(pi*x)", "phi = x*(1-x)/x"),
+])
+def test_non_finite_expression_prints_one_line(tmp_path, capsys, command, old, new):
+    spec = tmp_path / "spec.ini"
+    spec.write_text(SPEC.format(out="out", forcing="zero").replace(old, new))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([command, str(spec)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert not caught and len(err) == 1 and err[0].startswith(f"hbdiff {command}:")
+
+
 def test_csv_writer_formats_every_value_like_fmt(tmp_path):
     vals = np.array([-0.0, 3.0, 1e16, 0.1, 1e-300])
     _write_tables(str(tmp_path), [("t.csv", "a,b,c", (vals, np.column_stack([vals[::-1], -vals])))])
@@ -419,6 +445,53 @@ def test_csv_writer_fails_when_a_child_fails(tmp_path, monkeypatch):
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     monkeypatch.setattr(cli, "_csv_block", child_fails)
+    tables, paths = _pool(tmp_path)
+    with pytest.raises(RuntimeError, match="exited with status 1"):
+        _write_tables(str(tmp_path), tables)
+    assert not any(p.exists() for p in paths)
+    no_child_left()
+
+
+@pytest.mark.parametrize("slow", ["parent", "first child"])
+def test_csv_writer_appends_blocks_in_turn(tmp_path, monkeypatch, slow):
+    # the slow process finishes formatting last: with the parent slowed both
+    # children wait for their turns, with the first child slowed the second
+    # waits for the first
+    parent, block, fork, forks, slept = os.getpid(), cli._csv_block, os.fork, [], []
+
+    def counted():
+        forks.append(1)
+        return fork()
+
+    def slowed(table):
+        who = "parent" if os.getpid() == parent else "first child" if len(forks) == 1 else "other"
+        if who == slow and not slept:
+            slept.append(1)
+            time.sleep(0.2)
+        return block(table)
+
+    monkeypatch.setattr(os, "fork", counted)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    monkeypatch.setattr(cli, "_csv_block", slowed)
+    tables, paths = _pool(tmp_path)
+    _write_tables(str(tmp_path), tables)
+    assert len(forks) == 2
+    for (_, header, (column,)), path in zip(tables, paths):
+        same = path.read_text() == header + "\n" + "".join(_fmt(v) + "\n" for v in column.tolist())
+        assert same, path.name
+    no_child_left()
+
+
+def test_csv_writer_fails_when_a_child_cannot_append(tmp_path, monkeypatch):
+    parent = os.getpid()
+
+    def no_append(path, mode="r", *args, **kwargs):
+        if mode == "ab" and os.getpid() != parent:
+            raise OSError("append refused")
+        return open(path, mode, *args, **kwargs)
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    monkeypatch.setattr(cli, "open", no_append, raising=False)
     tables, paths = _pool(tmp_path)
     with pytest.raises(RuntimeError, match="exited with status 1"):
         _write_tables(str(tmp_path), tables)

@@ -104,10 +104,13 @@ def test_make_time_grid_is_uniform_in_stretched_clock():
     assert t[-1] == 2.0
     s = t**0.4
     assert_allclose(np.diff(s), s[1] - s[0], rtol=1e-9)
-    with pytest.raises(ValueError):
-        make_time_grid(-1.0, 8, 0.5)
-    with pytest.raises(ValueError):
-        make_time_grid(1.0, 0, 0.5)
+    # a clock double precision cannot hold: T**rho underflows to 0 or
+    # overflows, the nodes collapse onto 1, or T is not finite
+    raises = [(-1.0, 8, 0.5), (1.0, 0, 0.5), (1e-30, 4, 11.0), (1.0, 4, 1e308), (1e300, 4, 11.0),
+              (np.inf, 4, 0.5), (np.nan, 4, 0.5)]
+    for horizon, n, rho in raises:
+        with pytest.raises(ValueError):
+            make_time_grid(horizon, n, rho)
 
 
 # ---------------------------------------------------------------------------
