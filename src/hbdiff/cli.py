@@ -513,15 +513,13 @@ def _write_jsonl(path: str, records) -> None:
 
 def _cmd_ml(args) -> int:
     if not args.z:
-        print("ml: need at least one --z value", file=sys.stderr)
-        return 2
+        raise ValueError("need at least one --z value")
     try:
         params = MLParams(args.alpha, args.beta)
         z = np.array(args.z, dtype=float)
         table = np.column_stack([z, ml_two_array(params.alpha, params.beta_star, z)])
-    except (ValueError, OverflowError) as exc:
-        print(f"ml: {exc}", file=sys.stderr)
-        return 2
+    except OverflowError as exc:  # a parameter too large to evaluate is bad input
+        raise ValueError(exc) from None
     _check_finite(table, "output")
     print(_csv_block(table).decode().replace(",", ", "), end="")
     return 0
@@ -584,8 +582,7 @@ def _cmd_verify(args) -> int:
     try:
         reports = run_suite(args.suite)
     except KeyError as exc:
-        print(f"verify: {exc.args[0]}", file=sys.stderr)
-        return 2
+        raise ValueError(exc.args[0]) from None
     ok = True
     for rep in reports:
         print(json.dumps(rep.as_dict(), sort_keys=True))

@@ -147,8 +147,7 @@ def solve_scalar_batch(fp: FracParams, lam, u0, tgrid, forcing=None) -> np.ndarr
     else:
         u = u0[:, None] * decay
         if forcing is not None:
-            far, near = ml_lag_weights(s, alpha, alpha, ls)
-            u += lag_convolve(far, near, forcing) / rho**alpha
+            u += lag_convolve(*ml_lag_weights(s, alpha, alpha, ls), forcing) / rho**alpha
     u[:, 0] = u0
     return u
 
@@ -225,9 +224,9 @@ def solve_second_kind(
 
     def solve(t_nodes, sig):
         fvals = f.value_at(t_nodes)
-        far, near = ml_lag_weights(sig, p.delta, p.delta, [lam])
+        w, edge = ml_lag_weights(sig, p.delta, p.delta, [lam])
         # sig**0 == 1 exactly, so gamma_w = 0 needs no branch
-        conv = lag_convolve(far, near, sig**p.gamma_w * fvals)[0]
+        conv = lag_convolve(w, edge, sig**p.gamma_w * fvals)[0]
         fvals[1:] += lam * sig[1:] ** (-p.gamma_w) * conv[1:]
         return fvals
 

@@ -128,8 +128,11 @@ class TestMlCommand:
         assert_allclose(val, 0.4275835761558070, rtol=1e-10)
 
     def test_bad_parameters_exit_2(self, capsys):
-        assert main(["ml", "--alpha", "-3", "--z", "1"]) == 2
-        assert main(["ml", "--alpha", "0.5"]) == 2
+        for argv in (["--alpha", "-3", "--z", "1"], ["--alpha", "0.5"],
+                     ["--alpha", "0.5", "--beta", "1e308", "--z", "1"]):
+            assert main(["ml", *argv]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("hbdiff ml: ") and err.count("\n") == 1 and err.endswith("\n")
 
     def test_overflowing_value_exits_3(self, capsys):
         assert main(["ml", "--alpha", "0.5", "--z", "1", "--z", "1e300"]) == 3
@@ -666,4 +669,6 @@ class TestVerifyCommand:
 
     def test_unknown_suite_exits_2(self, capsys):
         assert main(["verify", "nope"]) == 2
-        assert "choose from" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "choose from" in err
+        assert err.startswith("hbdiff verify: ") and err.count("\n") == 1 and err.endswith("\n")

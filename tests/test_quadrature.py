@@ -26,7 +26,7 @@ from hbdiff.quadrature import (
 )
 from hbdiff.operators import FracParams, SampledFunction, make_time_grid
 from hbdiff.scalar import ScalarProblem, solve_scalar
-from hbdiff.special import MLParams, ml_one, ml_two
+from hbdiff.special import MLParams, ml_one, ml_two, ml_two_array
 from hbdiff.spectral import TensorForcing
 
 
@@ -117,6 +117,13 @@ def test_ml_product_row_matches_matrix_last_row():
     K = ml_product_matrix(s, 0.55, 1.1, -2.0)
     w = ml_product_row(s, 0.55, 1.1, -2.0)
     assert_allclose(w, K[-1], rtol=1e-11, atol=1e-16)
+    # every upper limit, the oldest node included; the two views' far-lag
+    # weights differ by rounding of an ill-conditioned sum, their products do not
+    g = np.cos(2.0 * s) + s
+    want = K @ g
+    for n in range(1, s.size):
+        got = ml_product_row(s[: n + 1], 0.55, 1.1, -2.0) @ g[: n + 1]
+        assert abs(got - want[n]) <= 1e-13 * np.max(np.abs(want)), n
 
 
 def test_ml_product_row_nonuniform_grid():
@@ -156,16 +163,35 @@ def test_lag_convolve_matches_dense_rows():
     # applied by FFT, against the dense Toeplitz matrix of each rate
     s = np.linspace(0.0, 1.3, 257)
     lams = np.array([0.0, -2.0, -400.0, 1.5])
-    far, near = ml_lag_weights(s, 0.55, 0.55, lams)
+    w, edge = ml_lag_weights(s, 0.55, 0.55, lams)
     g = np.cos(2.0 * s) + s
     rows = np.vstack([g, g**2, -g, np.sin(s)])
-    one, many = lag_convolve(far, near, g), lag_convolve(far, near, rows)
+    one, many = lag_convolve(w, edge, g), lag_convolve(w, edge, rows)
+    # a unit impulse at node 0 reads the oldest node's weight at every upper limit
+    impulse = lag_convolve(w, edge, np.eye(1, s.size)[0])
     for k, lam in enumerate(lams):
         K = ml_product_matrix(s, 0.55, 0.55, lam)
+        assert np.array_equal(impulse[k], K[:, 0])
         for got, data in ((one[k], g), (many[k], rows[k])):
             want = K @ data
             assert got[0] == 0.0
             assert_allclose(got, want, rtol=0, atol=1e-14 * np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("npt", [513, 4097])
+def test_lag_convolve_exact_on_affine_data(npt):
+    # the lag path against the closed form J0 + J1 of 1 + s, which needs no
+    # lag table: the far-lag weights are ill-conditioned but their errors cancel
+    alpha = beta = 0.6
+    lams = -((np.arange(1, 65) * np.pi) ** 2) / 0.7**alpha
+    s = np.linspace(0.0, 1.0, npt)
+    got = lag_convolve(*ml_lag_weights(s, alpha, beta, lams), 1.0 + s)
+    z = lams[:, None] * s**alpha
+    want = s**beta * ml_two_array(alpha, beta + 1.0, z) + s ** (beta + 1.0) * ml_two_array(
+        alpha, beta + 2.0, z
+    )
+    err = np.max(np.abs(got - want), axis=1) / np.max(np.abs(want), axis=1)
+    assert np.max(err) < 1e-14
 
 
 def test_uniform_step_accepts_every_time_grid_clock():
