@@ -7,10 +7,13 @@ The two-parameter Mittag-Leffler function
 is evaluated by one numpy array function in double precision:
 
 * closed forms: 1/Gamma(b) at z = 0, exp(z) and expm1(z)/z for a = 1 and
-  b = 1, 2, and ``inf`` for z > 0 where exp(z^(1/a))/a exceeds double range;
-* the compensated Taylor sum on the disc |z| <= max(1, b^a), accepted only
-  where its largest term is small enough that cancellation cannot eat the
-  target accuracy;
+  b = 1, 2; for z > 0 past the disc, 0 where the leading term (1/a)
+  z^((1-b)/a) exp(z^(1/a)) and the first algebraic term z^-1 / Gamma(b - a)
+  both underflow, and ``inf`` where the leading term at the contour's index
+  (below) overflows, so for b > 10 some finite values read inf;
+* on the disc |z| <= r = max(1, b^a) the Taylor series in one Horner pass
+  in z/r, its terms fixed per (a, b), kept only where the bound on its
+  rounding error and dropped tail stays below 1e-11 of the value;
 * for a <= 1 and z < -50 the algebraic expansion
   E_{a,b}(z) = -sum_{k>=1} z^(-k) / Gamma(b - a*k) (Podlubny, Fractional
   Differential Equations, 1999, Thm 1.4), in one Horner pass.  It stops at
@@ -54,12 +57,13 @@ __all__ = [
 ]
 
 # Largest admissible relative-error estimate for the Taylor sum, and the
-# number of terms after which a sum counts as not converged.
+# most terms it may take.
 _TAYLOR_ACCEPT = 1.0e-11
 _TAYLOR_TERMS = 1200
 
-# z^(1/a) >= exp(6.5682) ~ 712.8 puts exp(z^(1/a))/a past double range.
-_OVERFLOW_LOG = 6.5682
+# Logs of the largest double and of the smallest subnormal.
+_LOG_MAX = math.log(np.finfo(float).max)
+_LOG_TINY = math.log(5e-324)
 
 # Largest beta handed to the contour; see the module docstring.
 _BETA_CONTOUR = 10.0
@@ -145,49 +149,41 @@ class MLParams:
             raise ValueError(f"MLParams: beta_star must be positive, got {self.beta_star:g}")
 
 
-def _taylor(alpha: float, beta: float, z: np.ndarray):
-    """Compensated Taylor sums of E_{alpha,beta} at nonzero ``z``.
+def _horner(c: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """sum_k c[k] w^k at every entry of ``w``, by Horner's rule."""
+    acc = np.full(w.shape, c[-1])
+    for ck in c[-2::-1]:
+        acc *= w
+        acc += ck
+    return acc
 
-    Returns ``(value, est)`` where ``est`` bounds the relative error lost to
-    cancellation (tracked via the largest term); ``est = inf`` marks a sum
-    that did not converge.  Each point stops at its third consecutive
-    negligible term, so its value does not depend on the other points.
-    """
-    val = np.full(z.shape, np.nan)
-    est = np.full(z.shape, np.inf)
-    idx = np.arange(z.size)
-    logz = np.log(np.abs(z))
-    sign = np.where(z < 0.0, -1.0, 1.0)
-    s, comp, sum_abs, lmax, small = np.zeros((5, z.size))
+
+def _taylor(alpha: float, beta: float, r: float, z: np.ndarray):
+    """Taylor sums of E_{alpha,beta} at nonzero ``z`` with |z| <= r, r >= 1:
+    one Horner pass in w = z/r over d_k = r^k / Gamma(alpha*k + beta), in logs
+    so that no term that counts underflows, up to the first k where log d_k
+    falls 2^-60 below its peak, or _TAYLOR_TERMS terms.  Returns ``(value,
+    est)``; ``est`` bounds the relative error: each term's roundings, and the
+    dropped tail, whose terms fall at least as fast as the last two, log d_k
+    being concave in k."""
+    log_r = math.log(r)
+    log_d, ulps, peak = [], [], -math.inf
     for k in range(_TAYLOR_TERMS):
-        if not idx.size:
-            break
         lg = math.lgamma(alpha * k + beta)
-        klz = k * logz
-        at = np.exp(klz - lg)
-        t = at * sign if k % 2 else at
-        tmp = s + t
-        bt = tmp - s
-        comp += (s - (tmp - bt)) + (t - bt)  # exact rounding error of s + t
-        s = tmp
-        sum_abs += at
-        # magnitude of the log-space arithmetic feeding exp(); its rounding,
-        # eps*amp relative per term, dominates the achievable accuracy
-        lmax = np.maximum(lmax, np.abs(klz) + abs(lg))
-        # termination: three consecutive negligible terms; zero terms on a
-        # zero sum count too, which is where 1/Gamma(b) underflows
-        small = (small + 1.0) * (at <= 1.0e-16 * np.abs(s + comp))
-        done = small >= 3.0
-        if np.count_nonzero(done):
-            v = s[done] + comp[done]
-            val[idx[done]] = v
-            est[idx[done]] = (
-                1.11e-16 * sum_abs[done] * (2.0 + lmax[done]) / np.maximum(np.abs(v), 5e-324)
-            )
-            keep = ~done
-            idx, logz, sign, s, comp, sum_abs, lmax, small = (
-                x[keep] for x in (idx, logz, sign, s, comp, sum_abs, lmax, small)
-            )
+        log_d.append(k * log_r - lg)
+        # roundings of term k: 3k + 1 in w^k and Horner, 1 + its log's operands in exp()
+        ulps.append(3.0 * k + 2.0 + k * log_r + abs(lg))
+        peak = max(peak, log_d[-1])
+        if log_d[-1] < peak - _LOG_DEEP_TOL:
+            break
+    d = np.exp(log_d)  # terms 0..k
+    w = z / r
+    val = _horner(d, w)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        lw = np.log(np.abs(w))
+        lq = log_d[-1] - log_d[-2] + lw
+        tail = np.where(lq < 0.0, np.exp(log_d[-1] + k * lw + lq) / -np.expm1(lq), np.inf)
+        est = (1.11e-16 * _horner(d * ulps, np.abs(w)) + tail) / np.maximum(np.abs(val), 5e-324)
     return val, est
 
 
@@ -301,10 +297,9 @@ def _ml_poles(alpha: float, beta: float, z: float) -> float:
     return val
 
 
-def _ml_contour(alpha: float, beta: float, z: np.ndarray) -> np.ndarray:
-    """E_{alpha,beta} at nonzero ``z`` by the contour, beta shifted down to at
-    most _BETA_CONTOUR and climbed back by the index-shift recurrence."""
-    m = max(0, math.ceil((beta - _BETA_CONTOUR) / alpha))
+def _ml_contour(alpha: float, beta: float, m: int, z: np.ndarray) -> np.ndarray:
+    """E_{alpha,beta} at nonzero ``z`` by the contour at the index
+    b0 = beta - m*alpha, climbed back by the index-shift recurrence."""
     b0 = beta - m * alpha
     val = np.empty(z.shape)
     poles = (z > 0.0) | (alpha > 1.0)
@@ -345,12 +340,7 @@ def _ml_deep(alpha: float, beta: float, z: np.ndarray) -> np.ndarray | None:
     # underflows for very negative w
     c[refl] = g[refl] * sinpi_array(w[refl]) / math.pi
     r = 1.0 / z
-    acc = np.full(z.shape, -c[-1])
-    for ck in -c[-2::-1]:
-        acc *= r
-        acc += ck
-    acc *= r
-    return acc
+    return _horner(-c, r) * r
 
 
 def _ml(alpha: float, beta: float, z: np.ndarray) -> np.ndarray:
@@ -361,22 +351,35 @@ def _ml(alpha: float, beta: float, z: np.ndarray) -> np.ndarray:
         safe = np.where(z == 0.0, 1.0, z)
         return np.where(z == 0.0, 1.0, np.expm1(safe) / safe)
     out = np.full(z.shape, 1.0 / gamma(beta))  # the value at z = 0
-    over = z >= math.exp(_OVERFLOW_LOG * alpha)
-    out[over] = math.inf
-    rest = (z != 0.0) & ~over
-    disc = rest & (np.abs(z) <= max(1.0, beta**alpha))
-    val, est = _taylor(alpha, beta, z[disc])
-    ok = est <= _TAYLOR_ACCEPT
-    i = np.flatnonzero(disc)[ok]
-    out[i] = val[ok]
-    rest[i] = False
+    r = max(1.0, beta**alpha)
+    m = max(0, math.ceil((beta - _BETA_CONTOUR) / alpha))  # the contour's shift
+    rest = z != 0.0
+    # logs of the module docstring's leading and first algebraic terms;
+    # b > a wherever the leading one underflows past the disc
+    big = np.flatnonzero(z > r)
+    lz = np.log(z[big])
+    with np.errstate(over="ignore"):
+        lead = np.exp(lz / alpha) - math.log(alpha)
+    over = lead + (1.0 - beta + m * alpha) / alpha * lz > _LOG_MAX
+    under = lead + (1.0 - beta) / alpha * lz < _LOG_TINY
+    if under.any():
+        under &= -lz - math.lgamma(beta - alpha) < _LOG_TINY
+    out[big[over]] = math.inf
+    out[big[under]] = 0.0
+    rest[big[over | under]] = False
+    disc = np.flatnonzero(rest & (np.abs(z) <= r))
+    if disc.size:
+        val, est = _taylor(alpha, beta, r, z[disc])
+        ok = est <= _TAYLOR_ACCEPT
+        out[disc[ok]] = val[ok]
+        rest[disc[ok]] = False
     deep = rest & (z < -_DEEP)
     if alpha <= 1.0 and deep.any():
         val = _ml_deep(alpha, beta, z[deep])
         if val is not None:
             out[deep] = val
             rest[deep] = False
-    out[rest] = _ml_contour(alpha, beta, z[rest])
+    out[rest] = _ml_contour(alpha, beta, m, z[rest])
     return out
 
 

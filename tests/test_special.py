@@ -193,6 +193,13 @@ def test_ml_rejects_bad_input():
         ml_two(MLParams(0.5, 1.0), math.inf)
 
 
+def test_ml_range_edges_depend_on_beta():
+    # E_{1,300}(1000) is about e^-1065, below the smallest subnormal
+    assert ml_two_array(1.0, 300.0, [1000.0])[0] == 0.0
+    # E_{1,0.1}(705) is about e^711; inf without an overflow in the contour
+    assert ml_two_array(1.0, 0.1, [705.0])[0] == math.inf
+
+
 # ------------------------------------------------- ML: identity batteries
 
 
@@ -282,6 +289,23 @@ def test_ml_against_taylor_oracle_grid():
                 assert rel <= 1e-10, (a, b, z, rel)
         checked += 1
     assert checked > 150
+
+
+def test_ml_disc_corners_against_series_oracle():
+    # small alpha, where the disc's series needs more terms than it takes
+    # (alpha = 0.01: about 1,900) and the contour answers near the rim, and
+    # large beta, where the contour's index-shift recurrence is unstable
+    # for |z| below the rim and only the series answers there
+    pairs = [(a, b) for a in (0.01, 0.02, 0.05, 0.1, 0.2) for b in (0.3, 1.0)]
+    pairs += [(0.8, 100.0), (1.0, 150.0), (0.02, 12.0), (0.05, 50.0), (0.005, 20.0)]
+    for a, b in pairs:
+        r = max(1.0, b**a)
+        for z in (-r, -0.95 * r, -r / 2.0, -1.0e-3, r / 2.0, r):
+            got = ml_two(MLParams(a, b), z)
+            want = taylor_oracle(a, b, z)
+            with mp.workdps(40):
+                rel = float(abs((mp.mpf(got) - want) / want))
+            assert rel <= 1e-10, (a, b, z, rel)
 
 
 def test_ml_against_laplace_oracle_negative_axis():
